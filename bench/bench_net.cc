@@ -6,12 +6,12 @@
 // socket hops per op) — and reports p50/p99 per path.
 //
 // Part 2 (throughput): closed-loop multi-client sweep at 1/4/16/64 client
-// threads against three transport configurations:
-//   * event    — epoll event-loop server, pooled + pipelined client;
-//   * thread   — thread-per-connection server, pooled + pipelined client;
-//   * baseline — thread-per-connection server, ONE connection, single-flight
-//                (the pre-pipelining transport; the acceptance yardstick).
-// Each row reports ops/sec plus per-op p50/p99.
+// threads against two client configurations of the same server:
+//   * thread   — pooled + pipelined client;
+//   * baseline — ONE connection, single-flight (the pre-pipelining
+//                transport; the acceptance yardstick).
+// Each row reports ops/sec plus per-op p50/p99. A connection sweep then runs
+// the commit loop at 4/64/256/1024 connections, one client thread each.
 //
 // Storage latencies are zeroed so the rows isolate pure shim + wire overhead,
 // and all numbers here are WALL-CLOCK milliseconds (the wire is real
@@ -19,11 +19,14 @@
 //
 // Knobs: AFT_BENCH_REQUESTS (latency reps), AFT_BENCH_TPUT_OPS (closed-loop
 // ops per client; defaults to min(AFT_BENCH_REQUESTS, 200) so --smoke stays
-// fast).
+// fast), AFT_BENCH_SWEEP_SECONDS (wall-clock window per connection-sweep row,
+// default 3).
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 #include <random>
 #include <string>
 #include <thread>
@@ -180,7 +183,6 @@ void RunMultiGet(AftNode& node, net::RemoteAftClient& client, size_t keys, long 
 
 struct TputConfig {
   const char* name;                 // row label
-  net::ServerThreading threading;   // server side
   size_t connections_per_endpoint;  // client pool width
   size_t max_inflight;              // client pipelining depth
 };
@@ -204,10 +206,7 @@ void RunClosedLoop(size_t clients, LatencyRecorder& lat, double* elapsed_ms, Per
 
 void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_client,
                          const std::vector<std::string>& keys) {
-  net::AftServiceServerOptions server_options;
-  server_options.port = 0;
-  server_options.threading = cfg.threading;
-  net::AftServiceServer server(node, server_options);
+  net::AftServiceServer server(node);
   Check(server.Start(), "tput server Start");
 
   net::RemoteAftClientOptions client_options;
@@ -215,9 +214,8 @@ void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_clie
   client_options.max_inflight = cfg.max_inflight;
   net::RemoteAftClient client({server.endpoint()}, client_options);
 
-  std::printf("  --- %s (server=%s, pool=%zu, inflight=%zu) ---\n", cfg.name,
-              cfg.threading == net::ServerThreading::kEventLoop ? "event-loop" : "thread-per-conn",
-              cfg.connections_per_endpoint, cfg.max_inflight);
+  std::printf("  --- %s (pool=%zu, inflight=%zu) ---\n", cfg.name, cfg.connections_per_endpoint,
+              cfg.max_inflight);
 
   for (size_t clients : {1u, 4u, 16u, 64u}) {
     const uint64_t total_ops = static_cast<uint64_t>(clients) * ops_per_client;
@@ -265,6 +263,99 @@ void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_clie
   }
 
   server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Connection sweep: one connection per client thread (pool width == client
+// count), each client running the start/put/commit loop for a fixed wall-clock
+// window. Scales the connection count far past the core count, where a server
+// thread per connection pays most in context switches.
+// Rows are "tput conns <config> <N>c"; they carry no "baseline" pair, so the
+// bench_gate speedup stage skips them. The cpu column is process CPU (client
+// and server threads together) per transaction.
+
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+void RunConnectionRow(AftNode& node, size_t connections, double seconds,
+                      const std::vector<std::string>& keys) {
+  net::AftServiceServer server(node);
+  Check(server.Start(), "sweep server Start");
+  net::RemoteAftClientOptions client_options;
+  client_options.connections_per_endpoint = connections;
+  net::RemoteAftClient client({server.endpoint()}, client_options);
+
+  auto txn = [&](size_t c) {
+    auto session = client.StartTransaction();
+    Check(session.status(), "sweep StartTransaction");
+    Check(client.Put(*session, Key(c % keys.size()), "v"), "sweep Put");
+    Check(client.Commit(*session).status(), "sweep Commit");
+  };
+  // Untimed: one transaction per client dials every connection.
+  {
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < connections; ++c) {
+      threads.emplace_back([&txn, c] { txn(c); });
+    }
+    for (auto& t : threads) {
+      t.join();
+    }
+  }
+
+  std::vector<LatencyRecorder> lats(connections);
+  std::atomic<uint64_t> ops{0};
+  const double cpu_start = ProcessCpuMs();
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                                    std::chrono::duration<double>(seconds));
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < connections; ++c) {
+    threads.emplace_back([&, c] {
+      uint64_t done = 0;
+      while (std::chrono::steady_clock::now() < deadline) {
+        const auto op_start = std::chrono::steady_clock::now();
+        txn(c);
+        lats[c].RecordMillis(WallMs(op_start));
+        ++done;
+      }
+      ops.fetch_add(done, std::memory_order_relaxed);
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const double elapsed_ms = WallMs(start);
+  const double cpu_ms = ProcessCpuMs() - cpu_start;
+  LatencyRecorder lat;
+  for (const LatencyRecorder& r : lats) {
+    lat.Merge(r);
+  }
+  const uint64_t total = ops.load();
+  const double ops_sec = total / (elapsed_ms / 1000.0);
+  const double cpu_us_per_op = total > 0 ? cpu_ms * 1000.0 / total : 0;
+  const LatencySummary s = lat.Summarize();
+  std::printf("  %4zu conns  commit %9.0f ops/s   p50 %7.3f ms   p99 %7.3f ms   "
+              "cpu %6.1f us/op   (%llu accepted)\n",
+              connections, ops_sec, s.median_ms, s.p99_ms, cpu_us_per_op,
+              static_cast<unsigned long long>(server.stats().connections_accepted.load()));
+  EmitJsonRow("net", "tput conns thread " + std::to_string(connections) + "c", s.median_ms,
+              s.p99_ms, ops_sec, total);
+  server.Stop();
+}
+
+void RunConnectionSweep(AftNode& node, double seconds) {
+  PrintTitle("net connection sweep: 4/64/256/1024 connections, one per client (wall-clock)");
+  std::printf("  %.1f s per row, pool width = client count\n", seconds);
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < 10; ++i) {
+    keys.push_back(Key(i));
+  }
+  for (size_t connections : {4u, 64u, 256u, 1024u}) {
+    RunConnectionRow(node, connections, seconds, keys);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,9 +470,8 @@ void RunThroughputSweep(AftNode& node, long ops_per_client) {
   }
 
   const TputConfig kConfigs[] = {
-      {"event", net::ServerThreading::kEventLoop, 4, 32},
-      {"thread", net::ServerThreading::kThreadPerConn, 4, 32},
-      {"baseline", net::ServerThreading::kThreadPerConn, 1, 1},
+      {"thread", 4, 32},
+      {"baseline", 1, 1},
   };
   for (const TputConfig& cfg : kConfigs) {
     RunThroughputConfig(node, cfg, ops_per_client, keys);
@@ -432,6 +522,7 @@ int main() {
   breakdown.Report("tcp commit");  // Window: the TCP commit rows above.
   RunThroughputSweep(node, tput_ops);
   breakdown.Report("tput commit");
+  RunConnectionSweep(node, bench::GetEnvDouble("AFT_BENCH_SWEEP_SECONDS", 3.0));
   RunCommitBatchingSweep(tput_ops);
 
   std::printf("\n  server: %llu requests over %llu connections\n",

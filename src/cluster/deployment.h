@@ -36,7 +36,7 @@ struct ClusterOptions {
   FaultManagerOptions fault_manager;
   ClusterTransport transport = ClusterTransport::kInProc;
   // kTcp only: transport knobs for the per-node service servers and the
-  // gossip RPCs (threading model, timeouts, backpressure).
+  // gossip RPCs (timeouts).
   net::TcpMulticastBusOptions tcp_options;
   // When true, Start() launches the bus / fault-manager / per-node
   // background threads; tests that drive rounds manually leave this off.

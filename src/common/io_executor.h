@@ -69,8 +69,7 @@ class IoExecutor {
 
   // Fire-and-forget: enqueues one task on the helper pool. Returns false when
   // the pool has been shut down (the caller then runs the work inline — same
-  // never-rely-on-pool-drain contract as ParallelFor). Used by the event-loop
-  // server to hand decoded requests to worker lanes.
+  // never-rely-on-pool-drain contract as ParallelFor).
   bool Submit(std::function<void()> task);
 
   // Stops accepting helper work; in-flight items finish, queued helper

@@ -113,8 +113,13 @@ RemoteAftClient::~RemoteAftClient() = default;
 
 size_t RemoteAftClient::StripeForThisThread() const {
   // Stable per thread, so one caller's request/response pairs reuse one warm
-  // connection while concurrent threads spread over the pool.
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
+  // connection. Threads take consecutive numbers from a process-wide counter,
+  // so N threads started together land on N distinct stripes of a width-N
+  // pool; a hash of the thread id does not spread them (thread ids are
+  // stack addresses, alike modulo small widths).
+  static std::atomic<size_t> next_thread{0};
+  thread_local const size_t stripe = next_thread.fetch_add(1, std::memory_order_relaxed);
+  return stripe;
 }
 
 void RemoteAftClient::FailChannelLocked(Channel& channel, const Status& status) {

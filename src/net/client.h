@@ -8,8 +8,9 @@
 //
 // Throughput machinery (see docs/PROTOCOLS.md, "Pipelining contract"):
 //   * CONNECTION POOL — `connections_per_endpoint` sockets per endpoint;
-//     a call picks its stripe by hashing the calling thread, so concurrent
-//     callers spread over the pool without coordination.
+//     each calling thread takes a sequence number once (process-wide) and
+//     uses it mod the pool width as its stripe, so N threads started
+//     together spread over N distinct connections without coordination.
 //   * PIPELINING — up to `max_inflight` requests may be outstanding on one
 //     connection. The wire carries no request IDs: responses are matched to
 //     requests strictly FIFO (the server guarantees in-order responses), via

@@ -146,8 +146,8 @@ size_t FillFrameIovecs(const FrameBytes& frame, size_t skip, struct iovec* iov, 
 // with a descriptive error — never crashes, never reads past `bytes`.
 Result<Frame> DecodeFrame(std::string_view bytes);
 
-// Incremental variant for a streaming read buffer (the event-loop server
-// accumulates bytes as they arrive): examines the FRONT of `buffer` and
+// Incremental variant for a streaming read buffer (the server accumulates
+// each connection's bytes as they arrive): examines the FRONT of `buffer` and
 //   * returns the byte count consumed (header + payload) with `*out` filled
 //     when a complete frame is present;
 //   * returns 0 when the buffer merely needs more bytes (nothing consumed);

@@ -1,18 +1,8 @@
 #include "src/net/server.h"
 
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <unordered_map>
 
 #include "src/common/histogram.h"
-#include "src/common/io_executor.h"
 #include "src/common/logging.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
@@ -20,90 +10,10 @@
 namespace aft {
 namespace net {
 
-ServerThreading DefaultServerThreading() {
-  if (const char* env = std::getenv("AFT_NET_THREADING")) {
-    const std::string_view value(env);
-    if (value == "thread" || value == "thread_per_conn") {
-      return ServerThreading::kThreadPerConn;
-    }
-    if (value == "event" || value == "event_loop" || value == "epoll") {
-      return ServerThreading::kEventLoop;
-    }
-    AFT_LOG(Warn) << "unrecognized AFT_NET_THREADING value '" << value
-                  << "' (want 'thread' or 'event'); using event loop";
-  }
-  return ServerThreading::kEventLoop;
-}
-
-// One connection owned by an event loop. Field ownership is split two ways:
-//   * loop-thread-only (no lock): the socket fd for read/write/epoll_ctl, the
-//     read buffer, dispatch sequencing, and epoll interest bookkeeping;
-//   * `mu`-guarded: everything worker tasks touch — the response re-sequencing
-//     map and the outgoing byte buffer.
-// The only cross-thread socket operation is Shutdown(), which is race-free by
-// design (the fd cannot be closed underneath it: the last shared_ptr owner
-// closes it, and every toucher holds a shared_ptr).
-struct AftServiceServer::EventConnection {
-  Socket socket;
-  size_t loop_index = 0;
-
-  // ---- loop-thread-only ----
-  std::string inbuf;
-  uint64_t next_dispatch_seq = 0;  // seq assigned to the next decoded request
-  bool reads_paused = false;
-  bool want_write = false;  // partial write pending; EPOLLOUT wanted
-  uint32_t armed_events = EPOLLIN;
-
-  // Set once (under the loop's ownership or by loop exit); checked by worker
-  // tasks to skip flush-queue churn for dead connections.
-  std::atomic<bool> closed{false};
-
-  Mutex mu;
-  // Next seq to enter the wire queue: responses leave in request order even
-  // when handlers finish out of order.
-  uint64_t next_send_seq GUARDED_BY(mu) = 0;
-  std::map<uint64_t, FrameBytes> out_of_order GUARDED_BY(mu);
-  // Sealed response frames awaiting the socket. Frames keep their payload in
-  // arena segments end to end — the flush path gathers header + segments into
-  // one writev, so response bytes are never coalesced into a flat buffer.
-  std::deque<FrameBytes> outq GUARDED_BY(mu);
-  size_t outq_off GUARDED_BY(mu) = 0;   // bytes of outq.front() already sent
-  size_t out_bytes GUARDED_BY(mu) = 0;  // total un-sent bytes across outq
-};
-
-struct AftServiceServer::EventLoop {
-  int epoll_fd = -1;
-  int wake_fd = -1;  // eventfd; registered in epoll with data.ptr == nullptr
-  std::thread thread;
-  std::atomic<bool> stop{false};
-
-  Mutex mu;
-  std::vector<std::shared_ptr<EventConnection>> incoming GUARDED_BY(mu);
-  std::vector<std::shared_ptr<EventConnection>> flush_queue GUARDED_BY(mu);
-
-  // ---- loop-thread-only ----
-  std::unordered_map<int, std::shared_ptr<EventConnection>> conns;  // by fd
-  // Connections closed during the current event batch. Cleared only after the
-  // batch completes, so the raw data.ptr in already-fetched epoll events stays
-  // valid even when an earlier event in the same batch closed the connection.
-  std::vector<std::shared_ptr<EventConnection>> graveyard;
-
-  ~EventLoop() {
-    if (epoll_fd >= 0) {
-      ::close(epoll_fd);
-    }
-    if (wake_fd >= 0) {
-      ::close(wake_fd);
-    }
-  }
-
-  void Wake() {
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
-  }
-};
-
 namespace {
+
+// Initial per-connection read buffer; one frame larger than this doubles it.
+constexpr size_t kReadChunk = 64 * 1024;
 
 // Counts one in-flight request for the lifetime of a HandleRequest call.
 class InflightGuard {
@@ -146,14 +56,10 @@ AftServiceServer::AftServiceServer(AftNode& node, AftServiceServerOptions option
   wrap("aft_net_requests_served_total", "Requests dispatched to a handler",
        stats_.requests_served);
   wrap("aft_net_bad_frames_total", "Frames rejected before dispatch", stats_.bad_frames);
-  wrap("aft_net_backpressure_pauses_total", "Connections paused for backpressure",
-       stats_.backpressure_pauses);
-  wrap("aft_net_backpressure_resumes_total", "Paused connections re-armed after draining",
-       stats_.backpressure_resumes);
   metric_callbacks_.push_back(reg.RegisterCallback(
       "aft_net_requests_inflight", "Requests currently executing in a handler",
       obs::CallbackType::kGauge, labels, [this] {
-        return static_cast<double>(requests_inflight_.load(std::memory_order_relaxed));
+        return static_cast<double>(stats_.requests_inflight.load(std::memory_order_relaxed));
       }));
 }
 
@@ -171,17 +77,6 @@ Status AftServiceServer::Start() {
   }
   listener_ = std::move(listener).value();
   port_ = listener_.port();
-  if (options_.threading == ServerThreading::kEventLoop) {
-    Status status = StartEventLoops();
-    if (!status.ok()) {
-      StopEventLoops();
-      workers_.reset();
-      loops_.clear();
-      listener_.Close();
-      running_.store(false);
-      return status;
-    }
-  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
@@ -195,24 +90,6 @@ void AftServiceServer::Stop() {
     accept_thread_.join();
   }
   listener_.Close();
-  if (options_.threading == ServerThreading::kEventLoop) {
-    // Join the loops first (their exit path shuts every connection down, so
-    // blocked clients see EOF), then wait out in-flight worker tasks — they
-    // may still queue responses into dead connections, which is harmless.
-    // Only after that is it safe to drop the loop and connection objects.
-    StopEventLoops();
-    {
-      MutexLock lock(inflight_mu_);
-      while (inflight_ > 0) {
-        inflight_cv_.Wait(lock);
-      }
-    }
-    workers_.reset();  // All tasks done; joins the (now idle) worker threads.
-    loops_.clear();
-    MutexLock lock(mu_);
-    event_connections_.clear();
-    return;
-  }
   std::vector<std::unique_ptr<Connection>> connections;
   {
     MutexLock lock(mu_);
@@ -235,12 +112,6 @@ void AftServiceServer::AbandonConnections() {
       conn->socket.Shutdown();
     }
   }
-  // Event connections: shutdown(2) tears the stream under the loop — pending
-  // response sends fail with EPIPE and reads see EOF, so the loop closes the
-  // connection exactly as if the process had died mid-frame.
-  for (auto& conn : event_connections_) {
-    conn->socket.Shutdown();
-  }
 }
 
 void AftServiceServer::ReapFinished() {
@@ -255,9 +126,6 @@ void AftServiceServer::ReapFinished() {
         ++it;
       }
     }
-    std::erase_if(event_connections_, [](const std::shared_ptr<EventConnection>& conn) {
-      return conn->closed.load(std::memory_order_acquire);
-    });
   }
   for (auto& conn : finished) {
     if (conn->thread.joinable()) {
@@ -277,10 +145,6 @@ void AftServiceServer::AcceptLoop() {
     }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     ReapFinished();
-    if (options_.threading == ServerThreading::kEventLoop) {
-      AdoptEventConnection(std::move(accepted).value());
-      continue;
-    }
     auto conn = std::make_unique<Connection>();
     conn->socket = std::move(accepted).value();
     (void)conn->socket.SetSendTimeout(options_.send_timeout);
@@ -296,31 +160,60 @@ void AftServiceServer::AcceptLoop() {
 }
 
 void AftServiceServer::ServeConnection(Connection* conn) {
+  // Buffered decode: one recv pulls in whatever the peer has sent — often
+  // several pipelined frames — and DecodeFrameFromBuffer parses them in
+  // place, so a pipelined burst costs one syscall to read.
+  std::string buffer(kReadChunk, '\0');
+  size_t begin = 0;  // first unparsed byte
+  size_t end = 0;    // one past the last received byte
+  Frame frame;
+  // aftlint: hot
   while (running_.load(std::memory_order_acquire)) {
-    auto frame = ReadFrame(conn->socket);
-    if (!frame.ok()) {
-      // kUnavailable: peer hung up (normal). kInvalidArgument: stream-level
-      // corruption — the length prefix can no longer be trusted, so the only
-      // safe move is to drop the connection.
-      if (frame.status().code() == StatusCode::kInvalidArgument) {
-        stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-        AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                      << "): dropping connection: " << frame.status().ToString();
-      }
+    auto decoded = DecodeFrameFromBuffer(std::string_view(buffer).substr(begin, end - begin),
+                                         &frame);
+    if (!decoded.ok()) {
+      // Stream-level corruption: the length prefix can no longer be trusted,
+      // so the only safe move is to drop the connection.
+      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+      // aftlint-allow(obs-hot-log): teardown path — logs once, then the connection dies
+      AFT_LOG(Warn) << "aft server (" << node_.node_id()
+                    << "): dropping connection: " << decoded.status().ToString();
       break;
     }
-    if (IsResponse(frame->type)) {
+    if (*decoded == 0) {
+      // Need more bytes: slide the partial frame to the front, grow the
+      // buffer only when one frame outsizes it, then block for the peer.
+      if (begin > 0) {
+        std::memmove(buffer.data(), buffer.data() + begin, end - begin);
+        end -= begin;
+        begin = 0;
+      }
+      if (end == buffer.size()) {
+        buffer.resize(buffer.size() * 2);
+      } else if (end == 0 && buffer.size() > kReadChunk) {
+        buffer.resize(kReadChunk);  // The big frame is served; give its memory back.
+        buffer.shrink_to_fit();
+      }
+      auto got = conn->socket.RecvSome(buffer.data() + end, buffer.size() - end);
+      if (!got.ok()) {
+        break;  // Peer hung up (normal), or Stop() shut the socket down.
+      }
+      end += *got;
+      continue;
+    }
+    begin += *decoded;
+    if (IsResponse(frame.type)) {
       stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
       break;  // A client sending response frames is not speaking the protocol.
     }
     bool bad_frame = false;
     ArenaWriter response;
-    HandleRequest(frame->type, frame->payload, frame->trace_id, &bad_frame, response);
+    HandleRequest(frame.type, frame.payload, frame.trace_id, &bad_frame, response);
     if (bad_frame) {
       stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
     }
     stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    auto sealed = SealFrame(ResponseType(frame->type), std::move(response).TakeBuffer());
+    auto sealed = SealFrame(ResponseType(frame.type), std::move(response).TakeBuffer());
     if (!sealed.ok() || !WriteFrameBytes(conn->socket, *sealed).ok()) {
       break;
     }
@@ -331,420 +224,9 @@ void AftServiceServer::ServeConnection(Connection* conn) {
   conn->done.store(true, std::memory_order_release);
 }
 
-// ---- Event-loop mode --------------------------------------------------------
-
-Status AftServiceServer::StartEventLoops() {
-  // Named so the contention profiler exposes the pool's queue wait and run
-  // time as "net_workers.queue" / "net_workers.run" sites.
-  workers_ = std::make_unique<IoExecutor>(
-      options_.num_workers > 0 ? options_.num_workers : 8, "net_workers");
-  size_t n = options_.num_event_loops;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) {
-      n = 1;
-    }
-    if (n > 8) {
-      n = 8;  // I/O loops saturate well before core count on this workload.
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (loop->epoll_fd < 0) {
-      return Status::Internal(std::string("epoll_create1: ") + std::strerror(errno));
-    }
-    loop->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (loop->wake_fd < 0) {
-      return Status::Internal(std::string("eventfd: ") + std::strerror(errno));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = nullptr;  // Sentinel: "this readiness is the wake eventfd".
-    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev) != 0) {
-      return Status::Internal(std::string("epoll_ctl(wake): ") + std::strerror(errno));
-    }
-    loops_.push_back(std::move(loop));
-  }
-  // Threads start only once every loop constructed, so a failure above never
-  // leaves a running thread behind.
-  for (auto& loop : loops_) {
-    loop->thread = std::thread([this, raw = loop.get()] { EventLoopMain(raw); });
-  }
-  return Status::Ok();
-}
-
-void AftServiceServer::StopEventLoops() {
-  for (auto& loop : loops_) {
-    loop->stop.store(true, std::memory_order_release);
-    loop->Wake();
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) {
-      loop->thread.join();
-    }
-  }
-}
-
-void AftServiceServer::AdoptEventConnection(Socket socket) {
-  const Status nonblocking = socket.SetNonBlocking(true);
-  if (!nonblocking.ok()) {
-    // A blocking socket would stall its whole loop thread — and every
-    // connection that loop owns — on the first recv/send. Refuse it; the fd
-    // closes when `socket` goes out of scope.
-    AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                  << "): rejecting connection (cannot set non-blocking): "
-                  << nonblocking.ToString();
-    socket.Shutdown();
-    return;
-  }
-  auto conn = std::make_shared<EventConnection>();
-  conn->socket = std::move(socket);
-  conn->loop_index = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  {
-    MutexLock lock(mu_);
-    event_connections_.push_back(conn);
-  }
-  EventLoop* loop = loops_[conn->loop_index].get();
-  {
-    MutexLock lock(loop->mu);
-    loop->incoming.push_back(std::move(conn));
-  }
-  loop->Wake();
-}
-
-void AftServiceServer::EventLoopMain(EventLoop* loop) {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!loop->stop.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(loop->epoll_fd, events, kMaxEvents, -1);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                    << "): epoll_wait failed: " << std::strerror(errno);
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.ptr == nullptr) {
-        uint64_t drained;
-        // aftlint-allow(loop-blocking): wake_fd is a non-blocking eventfd; read drains and EAGAINs
-        while (::read(loop->wake_fd, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
-      auto* raw = static_cast<EventConnection*>(events[i].data.ptr);
-      if (raw->closed.load(std::memory_order_acquire)) {
-        continue;  // Closed by an earlier event in this batch; in graveyard.
-      }
-      auto it = loop->conns.find(raw->socket.fd());
-      if (it == loop->conns.end()) {
-        continue;
-      }
-      const std::shared_ptr<EventConnection> conn = it->second;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 && conn->reads_paused) {
-        // epoll reports error/hangup regardless of the armed interest mask,
-        // but a paused (backpressured) connection bounces off HandleReadable's
-        // reads_paused guard — the dead fd would level-trigger this loop hot
-        // until the flush path happened to fail it. The peer is gone either
-        // way; close it now.
-        CloseEventConnection(loop, conn);
-        continue;
-      }
-      if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-        HandleReadable(loop, conn);
-      }
-      if (!conn->closed.load(std::memory_order_acquire) &&
-          (events[i].events & EPOLLOUT) != 0) {
-        ServiceWritable(loop, conn);
-      }
-    }
-    // Control work handed over by the accept thread and worker tasks. The
-    // wake eventfd was drained above, so anything enqueued after the swap
-    // re-triggers epoll_wait immediately — no lost wakeups.
-    std::vector<std::shared_ptr<EventConnection>> incoming;
-    std::vector<std::shared_ptr<EventConnection>> flush;
-    {
-      MutexLock lock(loop->mu);
-      incoming.swap(loop->incoming);
-      flush.swap(loop->flush_queue);
-    }
-    for (auto& conn : incoming) {
-      const int fd = conn->socket.fd();
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = conn.get();
-      if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        conn->closed.store(true, std::memory_order_release);
-        conn->socket.Shutdown();
-        continue;
-      }
-      conn->armed_events = EPOLLIN;
-      loop->conns.emplace(fd, std::move(conn));
-    }
-    for (auto& conn : flush) {
-      ServiceWritable(loop, conn);
-    }
-    loop->graveyard.clear();
-  }
-  // Loop exit: tear every owned connection down so blocked peers see EOF.
-  // The fds close once the registry (and any in-flight worker task) drops
-  // the last shared_ptr.
-  for (auto& [fd, conn] : loop->conns) {
-    conn->closed.store(true, std::memory_order_release);
-    conn->socket.Shutdown();
-  }
-  loop->conns.clear();
-  loop->graveyard.clear();
-}
-
-void AftServiceServer::HandleReadable(EventLoop* loop,
-                                      const std::shared_ptr<EventConnection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire) || conn->reads_paused) {
-    return;  // Stale readiness from earlier in the batch.
-  }
-  char buf[64 * 1024];
-  while (true) {
-    auto got = conn->socket.RecvSome(buf, sizeof(buf));
-    if (!got.ok()) {
-      if (got.status().code() == StatusCode::kTimeout) {
-        break;  // Drained; wait for the next readiness event.
-      }
-      if (got.status().code() != StatusCode::kUnavailable) {
-        AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                      << "): dropping connection: " << got.status().ToString();
-      }
-      CloseEventConnection(loop, conn);
-      return;
-    }
-    conn->inbuf.append(buf, *got);
-  }
-  if (!ParseAndDispatch(conn)) {
-    CloseEventConnection(loop, conn);
-    return;
-  }
-  UpdateInterest(loop, conn);
-}
-
-void AftServiceServer::ServiceWritable(EventLoop* loop,
-                                       const std::shared_ptr<EventConnection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) {
-    return;
-  }
-  if (!FlushEventConnection(loop, conn)) {
-    CloseEventConnection(loop, conn);
-    return;
-  }
-  UpdateInterest(loop, conn);
-  // Draining the write backlog may have lifted backpressure; requests parked
-  // in the read buffer while paused must be pumped now — no EPOLLIN will fire
-  // for bytes we already hold.
-  if (!conn->reads_paused && !conn->inbuf.empty()) {
-    if (!ParseAndDispatch(conn)) {
-      CloseEventConnection(loop, conn);
-      return;
-    }
-    UpdateInterest(loop, conn);
-  }
-}
-
-bool AftServiceServer::ParseAndDispatch(const std::shared_ptr<EventConnection>& conn) {
-  size_t consumed = 0;
-  // aftlint: hot
-  while (true) {
-    uint64_t sequenced;
-    {
-      MutexLock lock(conn->mu);
-      sequenced = conn->next_send_seq;
-    }
-    if (conn->next_dispatch_seq - sequenced >= options_.max_pipeline_depth) {
-      break;  // Pipeline full; UpdateInterest pauses reads until it drains.
-    }
-    Frame frame;
-    auto n = DecodeFrameFromBuffer(std::string_view(conn->inbuf).substr(consumed), &frame);
-    if (!n.ok()) {
-      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-      // aftlint-allow(obs-hot-log): teardown path — logs once, then the connection dies
-      AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                    << "): dropping connection: " << n.status().ToString();
-      conn->inbuf.erase(0, consumed);
-      return false;
-    }
-    if (*n == 0) {
-      break;  // Need more bytes.
-    }
-    consumed += *n;
-    if (IsResponse(frame.type)) {
-      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-      conn->inbuf.erase(0, consumed);
-      return false;  // A client sending response frames is off-protocol.
-    }
-    DispatchRequest(conn, conn->next_dispatch_seq++, frame.type, std::move(frame.payload),
-                    frame.trace_id);
-  }
-  conn->inbuf.erase(0, consumed);
-  return true;
-}
-
-void AftServiceServer::DispatchRequest(const std::shared_ptr<EventConnection>& conn,
-                                       uint64_t seq, MessageType type, std::string payload,
-                                       uint64_t trace_id) {
-  {
-    MutexLock lock(inflight_mu_);
-    ++inflight_;
-  }
-  auto task = [this, conn, seq, type, trace_id, payload = std::move(payload)]() mutable {
-    bool bad_frame = false;
-    ArenaWriter response;
-    HandleRequest(type, payload, trace_id, &bad_frame, response);
-    if (bad_frame) {
-      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-    }
-    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    // Seal can only fail on a >64 MiB response, which no handler produces;
-    // ship an empty-payload frame of the right type if it ever does, so the
-    // sequencing chain never stalls waiting on a hole.
-    auto sealed = SealFrame(ResponseType(type), std::move(response).TakeBuffer());
-    QueueResponse(conn, seq, sealed.ok() ? std::move(*sealed) : FrameBytes());
-    MutexLock lock(inflight_mu_);
-    if (--inflight_ == 0) {
-      inflight_cv_.NotifyAll();
-    }
-  };
-  // Pool missing or shut down ⇒ run inline on the loop thread; slower but
-  // never lost. Same contract as IoExecutor::ParallelFor.
-  if (workers_ == nullptr || !workers_->Submit(task)) {
-    task();
-  }
-}
-
-void AftServiceServer::QueueResponse(const std::shared_ptr<EventConnection>& conn, uint64_t seq,
-                                     FrameBytes frame) {
-  bool appended = false;
-  {
-    MutexLock lock(conn->mu);
-    conn->out_of_order[seq] = std::move(frame);
-    // Drain the run of consecutive ready responses into the wire queue —
-    // this is the FIFO re-sequencing point. Frames MOVE (header + segment
-    // pointers); no response byte is copied here.
-    while (true) {
-      auto it = conn->out_of_order.find(conn->next_send_seq);
-      if (it == conn->out_of_order.end()) {
-        break;
-      }
-      conn->out_bytes += it->second.size();
-      conn->outq.push_back(std::move(it->second));
-      conn->out_of_order.erase(it);
-      ++conn->next_send_seq;
-      appended = true;
-    }
-  }
-  if (!appended || conn->closed.load(std::memory_order_acquire)) {
-    return;
-  }
-  EventLoop* loop = loops_[conn->loop_index].get();
-  {
-    MutexLock lock(loop->mu);
-    loop->flush_queue.push_back(conn);
-  }
-  loop->Wake();
-}
-
-bool AftServiceServer::FlushEventConnection(EventLoop* /*loop*/,
-                                            const std::shared_ptr<EventConnection>& conn) {
-  MutexLock lock(conn->mu);
-  // aftlint: hot
-  while (!conn->outq.empty()) {
-    // Gather up to 64 spans across the queued frames into one writev: each
-    // frame contributes its header block plus its payload segments, straight
-    // from the arena — no coalescing copy on the way out.
-    struct iovec iov[64];
-    size_t count = 0;
-    size_t skip = conn->outq_off;
-    for (const FrameBytes& frame : conn->outq) {
-      if (count >= 64) {
-        break;
-      }
-      count += FillFrameIovecs(frame, skip, iov + count, 64 - count);
-      skip = 0;
-    }
-    auto sent = conn->socket.SendSomeV(iov, count);
-    if (!sent.ok()) {
-      if (sent.status().code() == StatusCode::kTimeout) {
-        break;  // Kernel buffer full; EPOLLOUT will resume us.
-      }
-      return false;
-    }
-    conn->out_bytes -= *sent;
-    conn->outq_off += *sent;
-    while (!conn->outq.empty() && conn->outq_off >= conn->outq.front().size()) {
-      conn->outq_off -= conn->outq.front().size();
-      conn->outq.pop_front();  // Frame done; its segments return to the pool.
-    }
-  }
-  conn->want_write = !conn->outq.empty();
-  return true;
-}
-
-void AftServiceServer::UpdateInterest(EventLoop* loop,
-                                      const std::shared_ptr<EventConnection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) {
-    return;
-  }
-  size_t pending_bytes;
-  uint64_t sequenced;
-  {
-    MutexLock lock(conn->mu);
-    pending_bytes = conn->out_bytes;
-    sequenced = conn->next_send_seq;
-  }
-  const uint64_t depth = conn->next_dispatch_seq - sequenced;
-  // Hysteresis: pause at the caps, resume at half — a connection hovering at
-  // the limit does not thrash epoll_ctl.
-  bool want_read;
-  if (conn->reads_paused) {
-    want_read = pending_bytes <= options_.max_write_buffer_bytes / 2 &&
-                depth <= options_.max_pipeline_depth / 2;
-  } else {
-    want_read = pending_bytes <= options_.max_write_buffer_bytes &&
-                depth < options_.max_pipeline_depth;
-  }
-  if (!want_read && !conn->reads_paused) {
-    stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-  } else if (want_read && conn->reads_paused) {
-    stats_.backpressure_resumes.fetch_add(1, std::memory_order_relaxed);
-  }
-  conn->reads_paused = !want_read;
-  const uint32_t desired =
-      (want_read ? EPOLLIN : 0u) | (conn->want_write ? EPOLLOUT : 0u);
-  if (desired != conn->armed_events) {
-    epoll_event ev{};
-    ev.events = desired;
-    ev.data.ptr = conn.get();
-    (void)::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->socket.fd(), &ev);
-    conn->armed_events = desired;
-  }
-}
-
-void AftServiceServer::CloseEventConnection(EventLoop* loop,
-                                            const std::shared_ptr<EventConnection>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) {
-    return;
-  }
-  const int fd = conn->socket.fd();
-  (void)::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  conn->socket.Shutdown();
-  auto it = loop->conns.find(fd);
-  if (it != loop->conns.end()) {
-    loop->graveyard.push_back(std::move(it->second));
-    loop->conns.erase(it);
-  }
-}
-
 void AftServiceServer::HandleRequest(MessageType type, const std::string& payload,
                                      uint64_t trace_id, bool* bad_frame, ArenaWriter& out) {
-  const InflightGuard inflight(requests_inflight_);
+  const InflightGuard inflight(stats_.requests_inflight);
   const uint8_t type_index = static_cast<uint8_t>(type);
   obs::ScopedHistogramTimer rpc_timer(
       type_index < rpc_latency_.size() ? rpc_latency_[type_index] : nullptr);

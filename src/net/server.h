@@ -6,36 +6,23 @@
 // the process boundary the paper's deployment actually has: `RemoteAftClient`
 // and `TcpMulticastBus` are its two client populations.
 //
-// Two threading models, selected by `AftServiceServerOptions::threading`:
-//
-//  * kThreadPerConn — the original model: one blocking handler thread per
-//    accepted connection, one request in flight per connection. Simple, and
-//    kept as the reference implementation the event loop is differentially
-//    tested against.
-//  * kEventLoop — N epoll-driven I/O loop threads (default = hardware
-//    concurrency) own all sockets in non-blocking mode; decoded requests are
-//    handed to the server's own bounded worker pool (an `IoExecutor` instance
-//    — NOT the process-shared one, which clients park blocking fan-out chunks
-//    on; sharing it lets saturated client calls starve the very responses
-//    they are waiting for), and responses are re-sequenced per connection so
-//    they leave the socket in request order even though handlers complete out
-//    of order. This is what
-//    makes client-side pipelining pay: one connection can have many requests
-//    in flight, and one slow request does not block the loop, only its
-//    followers' responses. The wire format is identical in both modes.
-//
-// Backpressure (kEventLoop): a connection whose un-sent response bytes exceed
-// `max_write_buffer_bytes`, or which has `max_pipeline_depth` requests in
-// flight, stops being read (its EPOLLIN is disarmed) until the backlog drains
-// below half the cap — a client that stops draining responses or floods
-// requests throttles itself, never the server.
+// Concurrency model: one blocking handler thread per accepted connection.
+// The handler reads the socket into a per-connection buffer, decodes every
+// complete frame in it (`DecodeFrameFromBuffer`), and for each request in
+// arrival order runs the handler and writes the response itself (one writev
+// of header + arena payload segments). There is no hand-off between threads
+// on the request path: a request costs no cross-thread wakeup beyond the
+// socket's own. A connection's requests are therefore served strictly in
+// order, which is what lets the client pipeline several requests on one
+// connection and match responses FIFO (docs/PROTOCOLS.md, "Pipelining
+// contract"); concurrency across requests comes from the client's
+// connection pool, one server thread per pooled connection.
 //
 // Shutdown protocol: `Stop` wakes the blocked accept(2) via shutdown(2) on
-// the listener, joins the accept thread, then per model: thread-per-conn
-// shuts every live connection down and joins the handler threads; event-loop
-// signals each loop's eventfd, joins the loop threads, and waits for every
-// in-flight worker task to finish. No thread is ever detached, so TSan sees
-// every exit.
+// the listener, joins the accept thread, then shuts every live connection
+// down (waking handlers blocked in recv; a handler mid-request finishes it
+// and fails its write) and joins the handler threads. No thread is ever
+// detached, so TSan sees every exit.
 
 #ifndef SRC_NET_SERVER_H_
 #define SRC_NET_SERVER_H_
@@ -48,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/io_executor.h"
 #include "src/common/mutex.h"
 #include "src/core/aft_node.h"
 #include "src/net/frame.h"
@@ -58,33 +44,11 @@
 namespace aft {
 namespace net {
 
-enum class ServerThreading {
-  kThreadPerConn,
-  kEventLoop,
-};
-
-// Process-wide default: the AFT_NET_THREADING environment variable ("thread"
-// or "event"; the CI matrix dimension), falling back to kEventLoop.
-ServerThreading DefaultServerThreading();
-
 struct AftServiceServerOptions {
   uint16_t port = 0;  // 0 = kernel-assigned ephemeral port.
-  ServerThreading threading = DefaultServerThreading();
-  // kEventLoop: number of epoll loop threads; 0 = hardware concurrency
-  // (clamped to [1, 8] — loops are I/O bound, not compute bound).
-  size_t num_event_loops = 0;
-  // kEventLoop: worker lanes executing decoded requests (handlers may sleep
-  // on simulated storage latency, so the width can exceed core count);
-  // 0 = default (8).
-  size_t num_workers = 0;
-  // kEventLoop backpressure knobs (see header comment).
-  size_t max_write_buffer_bytes = 4u << 20;
-  size_t max_pipeline_depth = 256;
-  // Connection-level send deadline (kThreadPerConn only): a client that stops
-  // draining its socket cannot wedge a handler thread forever. The event loop
-  // never blocks on send — backpressure covers the same failure there. Reads
-  // are deadline-free — an idle connection is legal; Stop() wakes blocked
-  // readers via shutdown(2).
+  // Connection-level send deadline: a client that stops draining its socket
+  // cannot wedge a handler thread forever. Reads are deadline-free — an idle
+  // connection is legal; Stop() wakes blocked readers via shutdown(2).
   Duration send_timeout = std::chrono::seconds(30);
 };
 
@@ -94,11 +58,8 @@ struct AftServiceServerStats {
   // Frames rejected before dispatch: bad magic/version/CRC, unknown type,
   // oversized payload, undecodable request body.
   std::atomic<uint64_t> bad_frames{0};
-  // kEventLoop: times a connection's reads were paused for backpressure.
-  std::atomic<uint64_t> backpressure_pauses{0};
-  // kEventLoop: times a paused connection drained below the hysteresis
-  // threshold and had its reads re-armed.
-  std::atomic<uint64_t> backpressure_resumes{0};
+  // Requests currently inside a handler (the aft_net_requests_inflight gauge).
+  std::atomic<uint64_t> requests_inflight{0};
 };
 
 class AftServiceServer {
@@ -114,8 +75,7 @@ class AftServiceServer {
   Status Start();
 
   // Clean shutdown: stops accepting, tears down live connections, joins all
-  // threads (and, in kEventLoop mode, drains in-flight worker tasks). Safe to
-  // call twice.
+  // threads (a handler mid-request finishes it first). Safe to call twice.
   void Stop();
 
   // Test-only crash simulation ("kill -9 between two frames"): shutdown(2)
@@ -129,11 +89,9 @@ class AftServiceServer {
   uint16_t port() const { return port_; }
   NetEndpoint endpoint() const { return NetEndpoint{"127.0.0.1", port_}; }
   AftNode& node() { return node_; }
-  ServerThreading threading() const { return options_.threading; }
   const AftServiceServerStats& stats() const { return stats_; }
 
  private:
-  // ---- kThreadPerConn ------------------------------------------------------
   // One live connection. The handler thread owns the Socket; Stop and
   // AbandonConnections only call Shutdown() on it (fd stays valid until the
   // object dies after join), so there is no close/use race.
@@ -143,12 +101,6 @@ class AftServiceServer {
     std::atomic<bool> done{false};
   };
 
-  // ---- kEventLoop ----------------------------------------------------------
-  // Defined in server.cc; the loop thread owns each connection's fd and read
-  // buffer, worker tasks only touch the mutex-guarded response state.
-  struct EventConnection;
-  struct EventLoop;
-
   void AcceptLoop();
   void ServeConnection(Connection* conn);
   // Decodes + dispatches one request; the response payload (encoded status +
@@ -156,27 +108,8 @@ class AftServiceServer {
   // them with writev, no flat-string coalescing on the response path.
   void HandleRequest(MessageType type, const std::string& payload, uint64_t trace_id,
                      bool* bad_frame, ArenaWriter& out);
-  // Joins finished handler threads / reaps closed event connections (called
-  // opportunistically per accept).
+  // Joins finished handler threads (called opportunistically per accept).
   void ReapFinished();
-
-  // Event-loop internals (all defined in server.cc).
-  Status StartEventLoops();
-  void StopEventLoops();
-  void EventLoopMain(EventLoop* loop);
-  void AdoptEventConnection(Socket socket);
-  void HandleReadable(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  // Flush + interest update + resume-paused-reads, the post-write pump.
-  void ServiceWritable(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  bool ParseAndDispatch(const std::shared_ptr<EventConnection>& conn);
-  void DispatchRequest(const std::shared_ptr<EventConnection>& conn, uint64_t seq,
-                       MessageType type, std::string payload, uint64_t trace_id);
-  void QueueResponse(const std::shared_ptr<EventConnection>& conn, uint64_t seq,
-                     FrameBytes frame);
-  // Returns false when the connection died mid-flush.
-  bool FlushEventConnection(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  void UpdateInterest(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  void CloseEventConnection(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
 
   AftNode& node_;
   const AftServiceServerOptions options_;
@@ -188,30 +121,12 @@ class AftServiceServer {
 
   Mutex mu_;
   std::vector<std::unique_ptr<Connection>> connections_ GUARDED_BY(mu_);
-  std::vector<std::shared_ptr<EventConnection>> event_connections_ GUARDED_BY(mu_);
-
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::atomic<size_t> next_loop_{0};
-  // kEventLoop request-execution lanes. Per-server, never the process-shared
-  // executor: shared-pool workers block inside client fan-out RPCs, and a
-  // server queued behind them could never produce the responses that would
-  // unblock them.
-  std::unique_ptr<IoExecutor> workers_;
-
-  // In-flight worker tasks (kEventLoop); Stop blocks until zero so a task can
-  // never outlive the server object it references.
-  Mutex inflight_mu_;
-  CondVar inflight_cv_;
-  size_t inflight_ GUARDED_BY(inflight_mu_) = 0;
 
   AftServiceServerStats stats_;
 
   // Per-method service latency (aft_net_rpc_latency_ms{node=,method=}),
   // indexed by the request MessageType octet; nullptr for unknown types.
   std::array<obs::Histogram*, 16> rpc_latency_{};
-  // Requests currently inside HandleRequest, both threading modes; exposed
-  // as the aft_net_requests_inflight gauge.
-  std::atomic<uint64_t> requests_inflight_{0};
   std::vector<obs::ScopedMetricCallback> metric_callbacks_;
 };
 

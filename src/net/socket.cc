@@ -124,34 +124,12 @@ Result<size_t> Socket::RecvSome(char* data, size_t len) {
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return Status::Timeout("recv would block");
+      return Status::Timeout("recv deadline exceeded");
     }
     if (errno == ECONNRESET || errno == ENOTCONN) {
       return Status::Unavailable(Errno("peer reset connection"));
     }
     return Status::Internal(Errno("recv"));
-  }
-}
-
-Result<size_t> Socket::SendSome(const char* data, size_t len) {
-  if (!valid()) {
-    return Status::Unavailable("send on closed socket");
-  }
-  while (true) {
-    const ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
-    if (n >= 0) {
-      return static_cast<size_t>(n);
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return Status::Timeout("send would block");
-    }
-    if (errno == EPIPE || errno == ECONNRESET || errno == ENOTCONN) {
-      return Status::Unavailable(Errno("peer closed connection"));
-    }
-    return Status::Internal(Errno("send"));
   }
 }
 
@@ -223,18 +201,6 @@ Status Socket::SendAllV(const struct iovec* iov, size_t iovcnt) {
       ++index;
       offset = 0;
     }
-  }
-  return Status::Ok();
-}
-
-Status Socket::SetNonBlocking(bool enabled) {
-  const int flags = fcntl(fd_, F_GETFL, 0);
-  if (flags < 0) {
-    return Status::Internal(Errno("fcntl(F_GETFL)"));
-  }
-  const int wanted = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (fcntl(fd_, F_SETFL, wanted) != 0) {
-    return Status::Internal(Errno("fcntl(F_SETFL)"));
   }
   return Status::Ok();
 }

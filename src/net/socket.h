@@ -61,27 +61,22 @@ class Socket {
   // peer, never a legal message boundary.
   Status RecvAll(char* data, size_t len);
 
-  // Single-shot partial I/O for the non-blocking event loop. Both return the
-  // byte count actually moved (>= 1), or:
-  //   * kTimeout      — the operation would block (EAGAIN); try again after
-  //                     the next readiness event;
-  //   * kUnavailable  — orderly EOF (recv) or a dead peer;
+  // Single-shot partial receive: blocks until at least one byte is in and
+  // returns the byte count moved (>= 1), or:
+  //   * kTimeout      — the receive deadline expired (EAGAIN);
+  //   * kUnavailable  — orderly EOF or a dead peer;
   //   * kInternal     — anything else.
   Result<size_t> RecvSome(char* data, size_t len);
-  Result<size_t> SendSome(const char* data, size_t len);
 
   // Scatter-gather variants (sendmsg with MSG_NOSIGNAL): the zero-copy path
   // hands frame header + arena payload segments to the kernel as iovecs, so
   // a multi-segment frame costs one syscall and no coalescing copy.
-  // SendSomeV is the single-shot non-blocking form (same error mapping as
-  // SendSome); SendAllV loops until every byte of every iovec is out,
-  // windowing past the kernel's per-call IOV_MAX. Both clamp `iovcnt`
+  // SendSomeV is the single-shot form (same error mapping as RecvSome, EAGAIN
+  // being the send deadline); SendAllV loops until every byte of every iovec
+  // is out, windowing past the kernel's per-call IOV_MAX. Both clamp `iovcnt`
   // internally; SendAllV does not modify the caller's array.
   Result<size_t> SendSomeV(const struct iovec* iov, size_t iovcnt);
   Status SendAllV(const struct iovec* iov, size_t iovcnt);
-
-  // Switches the fd between blocking (the default) and non-blocking mode.
-  Status SetNonBlocking(bool enabled);
 
   // Per-operation deadlines. Duration::zero() disables the deadline.
   Status SetRecvTimeout(Duration d);

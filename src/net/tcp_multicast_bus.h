@@ -43,8 +43,8 @@ struct TcpMulticastBusOptions {
   // Real-time budgets for one gossip delivery (loopback: generous).
   Duration connect_timeout = std::chrono::seconds(2);
   Duration rpc_timeout = std::chrono::seconds(10);
-  // Options for the per-node AftServiceServers the bus hosts (threading
-  // model, backpressure knobs) — plumbed from the cluster deployment.
+  // Options for the per-node AftServiceServers the bus hosts (port, send
+  // deadline) — plumbed from the cluster deployment.
   AftServiceServerOptions server_options;
 };
 

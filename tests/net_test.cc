@@ -351,6 +351,37 @@ TEST_F(NetServiceTest, MultiGetAndPutBatchOverTcp) {
   server.Stop();
 }
 
+// A request larger than the server's initial per-connection read buffer
+// (64 KiB) grows it until the frame fits; the same connection then carries
+// small frames again once the big one is served.
+TEST_F(NetServiceTest, RequestLargerThanTheReadBufferRoundTrips) {
+  AftServiceServer server(node_);
+  ASSERT_TRUE(server.Start().ok());
+  RemoteAftClientOptions options = FastClient();
+  options.connections_per_endpoint = 1;
+  RemoteAftClient client({server.endpoint()}, options);
+
+  const std::string big(300 * 1024, 'b');
+  auto writer = client.StartTransaction();
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(client.Put(*writer, "big", big).ok());
+  ASSERT_TRUE(client.Put(*writer, "small", "s").ok());
+  ASSERT_TRUE(client.Commit(*writer).ok());
+
+  auto reader = client.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  auto read_big = client.Get(*reader, "big");
+  ASSERT_TRUE(read_big.ok()) << read_big.status().ToString();
+  EXPECT_EQ(read_big->value_or(""), big);
+  auto read_small = client.Get(*reader, "small");
+  ASSERT_TRUE(read_small.ok());
+  EXPECT_EQ(read_small->value_or(""), "s");
+  EXPECT_TRUE(client.Abort(*reader).ok());
+  EXPECT_EQ(server.stats().connections_accepted.load(), 1u);
+  EXPECT_EQ(server.stats().bad_frames.load(), 0u);
+  server.Stop();
+}
+
 TEST_F(NetServiceTest, SemanticErrorsTravelVerbatim) {
   AftServiceServer server(node_);
   ASSERT_TRUE(server.Start().ok());
@@ -560,50 +591,13 @@ TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
   recovered_server.Stop();
 }
 
-// ---- Threading matrix: both server models, explicitly ------------------------
-//
-// The AFT_NET_THREADING env var flips the process-wide default (the CI matrix
-// dimension); these tests pin the mode per server so one binary always covers
-// BOTH models regardless of environment.
-
-class ThreadingMatrixTest : public ::testing::TestWithParam<net::ServerThreading> {
- protected:
-  ThreadingMatrixTest() : storage_(clock_, InstantDynamo()), node_("aft-0", storage_, clock_) {
-    EXPECT_TRUE(node_.Start().ok());
-    server_options_.threading = GetParam();
-  }
-
-  SimClock clock_;
-  SimDynamo storage_;
-  AftNode node_;
-  AftServiceServerOptions server_options_;
-};
-
-TEST_P(ThreadingMatrixTest, CommitReadCycle) {
-  AftServiceServer server(node_, server_options_);
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.threading(), GetParam());
-  RemoteAftClient client({server.endpoint()}, FastClient());
-
-  auto session = client.StartTransaction();
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_TRUE(client.Put(*session, "tm:k", "v").ok());
-  ASSERT_TRUE(client.Commit(*session).ok());
-  auto reader = client.StartTransaction();
-  ASSERT_TRUE(reader.ok());
-  auto read = client.Get(*reader, "tm:k");
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->value(), "v");
-  EXPECT_TRUE(client.Abort(*reader).ok());
-  server.Stop();
-}
+// ---- Pipelining, connection pool and shutdown ------------------------------
 
 // The pipelining contract at the wire level: N request frames written
-// back-to-back on ONE connection come back as N responses in request order,
-// even though (in event-loop mode) the handlers run concurrently on the
-// worker pool and finish in any order.
-TEST_P(ThreadingMatrixTest, PipelinedRequestsAnswerInOrder) {
-  AftServiceServer server(node_, server_options_);
+// back-to-back on ONE connection (so several land in one server read) come
+// back as N responses in request order.
+TEST_F(NetServiceTest, PipelinedRequestsAnswerInOrder) {
+  AftServiceServer server(node_);
   ASSERT_TRUE(server.Start().ok());
 
   // Commit distinct values the pipelined Gets will read back.
@@ -647,8 +641,8 @@ TEST_P(ThreadingMatrixTest, PipelinedRequestsAnswerInOrder) {
 // Overlapping client calls multiplexed onto ONE pooled connection: every call
 // succeeds and the server really saw a single connection (the pool did not
 // silently widen).
-TEST_P(ThreadingMatrixTest, ConcurrentCallersShareOneConnection) {
-  AftServiceServer server(node_, server_options_);
+TEST_F(NetServiceTest, ConcurrentCallersShareOneConnection) {
+  AftServiceServer server(node_);
   ASSERT_TRUE(server.Start().ok());
   RemoteAftClientOptions options = FastClient();
   options.connections_per_endpoint = 1;
@@ -682,8 +676,8 @@ TEST_P(ThreadingMatrixTest, ConcurrentCallersShareOneConnection) {
 // Mid-pipeline connection kill: calls in flight when the stream tears fail
 // with a TRANSPORT status (never a wrong answer, never a hang), and the same
 // client reconnects cleanly for subsequent calls.
-TEST_P(ThreadingMatrixTest, MidPipelineKillFailsOnlyInflightThenReconnects) {
-  AftServiceServer server(node_, server_options_);
+TEST_F(NetServiceTest, MidPipelineKillFailsOnlyInflightThenReconnects) {
+  AftServiceServer server(node_);
   ASSERT_TRUE(server.Start().ok());
   RemoteAftClientOptions options = FastClient();
   options.connections_per_endpoint = 1;
@@ -730,13 +724,95 @@ TEST_P(ThreadingMatrixTest, MidPipelineKillFailsOnlyInflightThenReconnects) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, ThreadingMatrixTest,
-                         ::testing::Values(net::ServerThreading::kThreadPerConn,
-                                           net::ServerThreading::kEventLoop),
-                         [](const auto& info) {
-                           return info.param == net::ServerThreading::kEventLoop ? "EventLoop"
-                                                                                 : "ThreadPerConn";
-                         });
+// Each calling thread owns one stripe of the pool: 4 threads on a width-4
+// client open exactly 4 connections (connections dial lazily, so each one
+// also served its thread's calls), and threads re-created for a second round
+// spread over the same 4 rather than colliding or re-dialing.
+TEST_F(NetServiceTest, ThreadsSpreadOverDistinctConnections) {
+  AftServiceServer server(node_);
+  ASSERT_TRUE(server.Start().ok());
+  constexpr size_t kThreads = 4;
+  constexpr int kCallsPerThread = 10;
+  RemoteAftClientOptions options = FastClient();
+  options.connections_per_endpoint = kThreads;
+  RemoteAftClient client({server.endpoint()}, options);
+
+  std::atomic<int> failures{0};
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&client, &failures] {
+        for (int i = 0; i < kCallsPerThread; ++i) {
+          if (!client.Ping(0).ok()) {
+            ++failures;
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(server.stats().connections_accepted.load(), kThreads) << "round " << round;
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server.stats().requests_served.load(), 2 * kThreads * kCallsPerThread);
+  server.Stop();
+}
+
+// Stop() with 256 connections each blocked mid-call: every handler is inside
+// a slow request (the node's simulated service time on a real clock), so Stop
+// must shut every connection down, let each handler finish, and join them —
+// within a bound, never hanging. Every client call fails with a transport
+// status: the responses are written into shut-down sockets and never arrive.
+TEST(NetShutdownTest, StopWithEveryConnectionMidCallReturnsPromptly) {
+  constexpr size_t kConnections = 256;
+  RealClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  AftNodeOptions node_options;
+  node_options.service_cores = kConnections;  // No queueing: all block at once.
+  node_options.service_time = LatencyModel(2000, 0, 2000);
+  AftNode node("aft-0", storage, clock, node_options);
+  ASSERT_TRUE(node.Start().ok());
+  AftServiceServer server(node);
+  ASSERT_TRUE(server.Start().ok());
+  RemoteAftClientOptions options = FastClient();
+  options.connections_per_endpoint = kConnections;
+  options.max_attempts = 1;
+  options.call_timeout = std::chrono::seconds(30);
+  RemoteAftClient client({server.endpoint()}, options);
+
+  std::vector<Status> statuses(kConnections, Status::Ok());
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kConnections; ++c) {
+    callers.emplace_back([&client, &statuses, c] {
+      auto session = client.StartTransaction();  // Not throttled: returns at once.
+      statuses[c] = session.ok() ? client.Put(*session, "k" + std::to_string(c), "v")
+                                 : session.status();
+    });
+  }
+  const auto wait_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().requests_inflight.load() < kConnections &&
+         std::chrono::steady_clock::now() < wait_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().requests_inflight.load(), kConnections)
+      << "calls never all reached a handler";
+  EXPECT_EQ(server.stats().connections_accepted.load(), kConnections);
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  server.Stop();
+  const auto stop_time = std::chrono::steady_clock::now() - stop_start;
+  EXPECT_LT(stop_time, std::chrono::seconds(15));
+  EXPECT_EQ(server.stats().requests_inflight.load(), 0u);
+  for (auto& caller : callers) {
+    caller.join();
+  }
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.code() == StatusCode::kUnavailable ||
+                status.code() == StatusCode::kTimeout)
+        << status.ToString();
+  }
+}
 
 // ---- Client backoff ---------------------------------------------------------
 

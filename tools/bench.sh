@@ -56,6 +56,9 @@ if [[ $SMOKE -eq 1 ]]; then
   # pipelined-vs-baseline speedup), so give them slightly more ops than the
   # latency rows — still sub-minute, but far less noisy than 3-op runs.
   export AFT_BENCH_TPUT_OPS=50
+  # bench_net's connection sweep (4..1024 connections) runs on a wall-clock
+  # window per row; one second keeps it inside the smoke budget.
+  export AFT_BENCH_SWEEP_SECONDS=1
   TIMEOUT="${AFT_BENCH_TIMEOUT:-120}"
   MODE=smoke
 else

@@ -2,8 +2,8 @@
 # Throughput regression gate over one bench JSON file (tools/bench.sh output).
 #
 # Gates on a WITHIN-RUN ratio, not on absolute ops/sec: bench_net runs every
-# throughput workload under both the pipelined transports ("event", "thread")
-# and the single-flight "baseline" config in the same process on the same
+# throughput workload under the pooled, pipelined transport ("thread") and
+# the single-flight "baseline" config in the same process on the same
 # machine, so the speedup of pipelined over baseline is independent of how
 # fast the runner happens to be. (Comparing absolute numbers against a
 # checked-in file from another machine shifts the ratio with runner speed —
@@ -12,9 +12,10 @@
 # The gate takes the GEOMETRIC MEAN of the per-row speedups at high client
 # counts (>= MIN_CLIENTS, default 16 — where pipelining is designed to win;
 # the 1-client rows measure per-op latency, not pipeline capacity) and fails
-# when it drops below MIN_SPEEDUP. A serialized event loop or a single-
-# flighted client pulls the geomean to ~1.0x, far below the floor, while the
-# healthy transport sits near 3x even in smoke runs. Zero matching row pairs
+# when it drops below MIN_SPEEDUP. A serialized server or a single-flighted
+# client pulls the geomean to ~1.0x, far below the floor, while the healthy
+# transport sits near 2.5x even in smoke runs. Rows with no "baseline" pair
+# (bench_net's "tput conns" connection sweep) are skipped. Zero matching row pairs
 # is an error — a gate that silently compares nothing is worse than no gate.
 #
 # A second within-run gate holds the cross-transaction commit-batching win
@@ -64,7 +65,7 @@ fi
 sed -nE 's/.*"row":"tput ([^"]*)".*"txn_per_s":([0-9.]+).*/\1\t\2/p' "$CURRENT" \
   | awk -F '\t' -v floor="$MIN_SPEEDUP" -v min_clients="$MIN_CLIENTS" '
   {
-    # $1 is "<workload> <config> <N>c", e.g. "commit event 16c".
+    # $1 is "<workload> <config> <N>c", e.g. "commit thread 16c".
     split($1, f, " ");
     workload = f[1]; config = f[2]; clients = f[3] + 0;
     if (clients < min_clients) { next }
