@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for AFT's hot-path primitives: the
 // Algorithm 1 version-selection loop, supersedence checks, record codecs,
-// the key version index and the Zipf sampler. These quantify the per-op CPU
-// cost that underlies the node service-time model.
+// the key version index, the Zipf sampler and the CRC-32 that every wire
+// frame and WAL record carries. These quantify the per-op CPU cost that
+// underlies the node service-time model.
 
 #include <benchmark/benchmark.h>
 
+#include "src/common/crc32.h"
 #include "src/common/zipf.h"
 #include "src/core/read_algorithm.h"
 
@@ -105,6 +107,21 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample)->Arg(0)->Arg(10)->Arg(15)->Arg(20);
+
+// Checksum throughput at a small frame, the 4 KiB value of the tcp-mem
+// workload, and a large batch.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(7);
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : data) {
+    c = static_cast<char>(rng.Below(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536);
 
 }  // namespace
 }  // namespace aft

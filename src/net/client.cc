@@ -128,6 +128,9 @@ void RemoteAftClient::FailChannelLocked(Channel& channel, const Status& status) 
   // the next dialer once the reader has drained out.
   channel.socket.Shutdown();
   channel.connected = false;
+  if (!channel.reader_active) {
+    channel.reader.Reset();
+  }
   for (auto& waiter : channel.waiters) {
     if (!waiter->done) {
       waiter->status = status;
@@ -167,26 +170,28 @@ void RemoteAftClient::RunReader(Channel& channel, MutexLock& lock,
     const std::shared_ptr<Waiter> front = channel.waiters.front();
     (void)channel.socket.SetRecvTimeout(left);
     lock.Unlock();
-    Result<Frame> frame = ReadFrame(channel.socket);
+    Frame frame;
+    Status read = channel.reader.Next(channel.socket, &frame);
     lock.Lock();
     if (!channel.connected) {
       return;  // Torn down while we read; every waiter already failed.
     }
-    if (frame.ok() && frame->type != ResponseType(front->expected)) {
+    if (read.ok() && frame.type != ResponseType(front->expected)) {
       // A reply of the wrong type means the stream is out of sync; the only
       // safe recovery is a fresh connection.
-      frame = Status::Unavailable(std::string("response type mismatch: expected ") +
-                                  std::string(MessageTypeName(ResponseType(front->expected))) +
-                                  ", got " + std::string(MessageTypeName(frame->type)));
+      read = Status::Unavailable(std::string("response type mismatch: expected ") +
+                                 std::string(MessageTypeName(ResponseType(front->expected))) +
+                                 ", got " + std::string(MessageTypeName(frame.type)));
     }
-    if (!frame.ok()) {
-      FailChannelLocked(channel, frame.status());
+    if (!read.ok()) {
+      channel.reader.Reset();
+      FailChannelLocked(channel, read);
       return;
     }
     channel.waiters.pop_front();
     // An abandoned head still consumed its response (keeping the stream in
     // sync); the payload just has no one left to read it.
-    front->response = std::move(frame->payload);
+    front->response = std::move(frame.payload);
     front->done = true;
     channel.cv.NotifyAll();
   }
@@ -209,6 +214,7 @@ Result<std::string> RemoteAftClient::CallOnce(Channel& channel, const FrameBytes
       continue;
     }
     channel.socket.Close();
+    channel.reader.Reset();  // Bytes left from the torn stream are not ours.
     auto socket = TcpConnect(channel.endpoint, std::min(left, options_.connect_timeout));
     if (!socket.ok()) {
       return socket.status();

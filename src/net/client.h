@@ -171,6 +171,9 @@ class RemoteAftClient {
     Mutex mu;
     CondVar cv;
     Socket socket GUARDED_BY(mu);
+    // Buffered response decoder. Like `socket`, used with `mu` released by
+    // the one active reader; touched under `mu` only while no reader runs.
+    FrameReader reader GUARDED_BY(mu);
     bool connected GUARDED_BY(mu) = false;
     bool reader_active GUARDED_BY(mu) = false;
     // Distinguishes a first dial from a re-dial after a torn connection
@@ -196,7 +199,8 @@ class RemoteAftClient {
   // One pipelined attempt on a channel: dial if needed, send, wait FIFO.
   Result<std::string> CallOnce(Channel& channel, const FrameBytes& request, Duration remaining);
   // Fails every in-flight waiter and tears the connection down (Shutdown,
-  // not Close — the reader may still be blocked in recv on the fd).
+  // not Close — the reader may still be blocked in recv on the fd). Drops
+  // the buffered bytes unless a reader still holds them.
   void FailChannelLocked(Channel& channel, const Status& status) REQUIRES(channel.mu);
   // Tears the channel down when nobody is left to drain it: no reader is
   // active and every queued waiter has been abandoned. Without this the
@@ -205,7 +209,7 @@ class RemoteAftClient {
   void FailChannelIfOrphanedLocked(Channel& channel) REQUIRES(channel.mu);
   // Reads responses off the socket, delivering to queue heads, until `own` is
   // done or the channel fails. Called with `lock` (on channel.mu) held and
-  // reader_active set; drops the lock around each blocking ReadFrame.
+  // reader_active set; drops the lock around each blocking FrameReader::Next.
   // (Opaque to the thread-safety analysis because of that unlock/relock.)
   void RunReader(Channel& channel, MutexLock& lock, const std::shared_ptr<Waiter>& own,
                  std::chrono::steady_clock::time_point deadline) NO_THREAD_SAFETY_ANALYSIS;

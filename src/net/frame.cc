@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 
+#include "src/common/crc32.h"
 #include "src/common/serde.h"
 
 namespace aft {
@@ -54,13 +55,23 @@ Result<ParsedHeader> ParseHeader(std::string_view bytes) {
   return header;
 }
 
-// Pulls the 8-byte trace-id prefix off an already-CRC-verified payload.
-Status StripTracePrefix(Frame* frame) {
-  if (frame->payload.size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("trace-flagged frame shorter than its trace id");
+// Checks `payload` (exactly the header's length, still in the caller's
+// buffer) against the header CRC, then copies it into `*out` minus the
+// trace-id prefix: the one copy a decoded frame costs.
+Status FillFrame(const ParsedHeader& header, std::string_view payload, Frame* out) {
+  if (Crc32(payload) != header.crc) {
+    return Status::InvalidArgument("frame CRC mismatch");
   }
-  std::memcpy(&frame->trace_id, frame->payload.data(), sizeof(uint64_t));
-  frame->payload.erase(0, sizeof(uint64_t));
+  out->type = header.type;
+  out->trace_id = 0;
+  if ((header.flags & kFrameFlagTraceContext) != 0) {
+    if (payload.size() < sizeof(uint64_t)) {
+      return Status::InvalidArgument("trace-flagged frame shorter than its trace id");
+    }
+    std::memcpy(&out->trace_id, payload.data(), sizeof(uint64_t));
+    payload.remove_prefix(sizeof(uint64_t));
+  }
+  out->payload.assign(payload.data(), payload.size());
   return Status::Ok();
 }
 
@@ -130,14 +141,7 @@ Result<Frame> DecodeFrame(std::string_view bytes) {
                                    " of " + std::to_string(header.payload_len) + " bytes)");
   }
   Frame frame;
-  frame.type = header.type;
-  frame.payload.assign(payload.data(), header.payload_len);
-  if (Crc32(frame.payload) != header.crc) {
-    return Status::InvalidArgument("frame CRC mismatch");
-  }
-  if ((header.flags & kFrameFlagTraceContext) != 0) {
-    AFT_RETURN_IF_ERROR(StripTracePrefix(&frame));
-  }
+  AFT_RETURN_IF_ERROR(FillFrame(header, payload.substr(0, header.payload_len), &frame));
   return frame;
 }
 
@@ -150,15 +154,8 @@ Result<size_t> DecodeFrameFromBuffer(std::string_view buffer, Frame* out) {
   if (buffer.size() < total) {
     return static_cast<size_t>(0);
   }
-  out->type = header.type;
-  out->trace_id = 0;
-  out->payload.assign(buffer.data() + kFrameHeaderSize, header.payload_len);
-  if (Crc32(out->payload) != header.crc) {
-    return Status::InvalidArgument("frame CRC mismatch");
-  }
-  if ((header.flags & kFrameFlagTraceContext) != 0) {
-    AFT_RETURN_IF_ERROR(StripTracePrefix(out));
-  }
+  AFT_RETURN_IF_ERROR(
+      FillFrame(header, buffer.substr(kFrameHeaderSize, header.payload_len), out));
   return total;
 }
 
@@ -249,24 +246,42 @@ Status WriteFrameBytes(Socket& socket, const FrameBytes& frame) {
   return Status::Ok();
 }
 
-Result<Frame> ReadFrame(Socket& socket) {
-  char header_bytes[kFrameHeaderSize];
-  AFT_RETURN_IF_ERROR(socket.RecvAll(header_bytes, kFrameHeaderSize));
-  AFT_ASSIGN_OR_RETURN(ParsedHeader header,
-                       ParseHeader(std::string_view(header_bytes, kFrameHeaderSize)));
-  Frame frame;
-  frame.type = header.type;
-  frame.payload.resize(header.payload_len);
-  if (header.payload_len > 0) {
-    AFT_RETURN_IF_ERROR(socket.RecvAll(frame.payload.data(), header.payload_len));
+Status FrameReader::Next(Socket& socket, Frame* out) {
+  if (buffer_.empty()) {
+    buffer_.resize(kInitialSize);
   }
-  if (Crc32(frame.payload) != header.crc) {
-    return Status::InvalidArgument("frame CRC mismatch");
+  for (;;) {
+    AFT_ASSIGN_OR_RETURN(
+        const size_t consumed,
+        DecodeFrameFromBuffer(std::string_view(buffer_).substr(begin_, end_ - begin_), out));
+    if (consumed > 0) {
+      begin_ += consumed;
+      return Status::Ok();
+    }
+    // Need more bytes: slide the partial frame to the front, grow the buffer
+    // only when one frame outsizes it, then block for the peer.
+    if (begin_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (end_ == buffer_.size()) {
+      buffer_.resize(buffer_.size() * 2);
+    } else if (end_ == 0 && buffer_.size() > kInitialSize) {
+      buffer_.resize(kInitialSize);  // The big frame is served; give its memory back.
+      buffer_.shrink_to_fit();
+    }
+    AFT_ASSIGN_OR_RETURN(const size_t got,
+                         socket.RecvSome(buffer_.data() + end_, buffer_.size() - end_));
+    end_ += got;
   }
-  if ((header.flags & kFrameFlagTraceContext) != 0) {
-    AFT_RETURN_IF_ERROR(StripTracePrefix(&frame));
-  }
-  return frame;
+}
+
+void FrameReader::Reset() {
+  buffer_.clear();
+  buffer_.shrink_to_fit();
+  begin_ = 0;
+  end_ = 0;
 }
 
 }  // namespace net

@@ -41,7 +41,6 @@
 #include <string_view>
 
 #include "src/common/arena.h"
-#include "src/common/crc32.h"
 #include "src/common/status.h"
 #include "src/net/socket.h"
 
@@ -89,19 +88,6 @@ inline MessageType RequestOf(MessageType response) {
 // True iff `type` (with the response bit stripped) names a known message.
 bool IsKnownMessageType(MessageType type);
 std::string_view MessageTypeName(MessageType type);
-
-// CRC-32 (IEEE reflected polynomial 0xEDB88320), the Ethernet/zip checksum.
-// The implementation lives in src/common/crc32.h (shared with the durable
-// WAL's record framing); these aliases keep existing net call sites intact.
-inline uint32_t Crc32(std::string_view data) { return ::aft::Crc32(data); }
-
-// Streaming variant for payloads held as segment chains: feed spans in order,
-// no coalescing. `Crc32End(Crc32Feed(Crc32Begin(), d, n))` == `Crc32({d,n})`.
-inline uint32_t Crc32Begin() { return ::aft::Crc32Begin(); }
-inline uint32_t Crc32Feed(uint32_t state, const void* data, size_t len) {
-  return ::aft::Crc32Feed(state, data, len);
-}
-inline uint32_t Crc32End(uint32_t state) { return ::aft::Crc32End(state); }
 
 struct Frame {
   MessageType type = MessageType::kPing;
@@ -157,16 +143,38 @@ Result<Frame> DecodeFrame(std::string_view bytes);
 // a hostile length field is rejected before any payload accumulates.
 Result<size_t> DecodeFrameFromBuffer(std::string_view buffer, Frame* out);
 
-// Stream variants: write/read one frame over a connected socket. ReadFrame
-// returns kUnavailable when the peer closes cleanly between frames, and the
-// DecodeFrame errors above for torn or corrupt frames.
+// Blocking write of one frame over a connected socket.
 Status WriteFrame(Socket& socket, MessageType type, std::string_view payload,
                   uint64_t trace_id = 0);
 // Scatter-gather write of a sealed frame: header + payload segments go out
 // via one writev-style call per IOV window, no coalescing copy. Blocking;
 // safe to call repeatedly with the same frame (retries).
 Status WriteFrameBytes(Socket& socket, const FrameBytes& frame);
-Result<Frame> ReadFrame(Socket& socket);
+
+// Buffered reader for one connection's byte stream. Each recv pulls in
+// whatever the peer has sent (often several pipelined frames) and
+// DecodeFrameFromBuffer parses them in place, so a burst costs one syscall
+// and a frame already in the buffer costs none. The server's per-connection
+// handler, the client's channel reader and the gossip bus each keep one per
+// socket. Not thread-safe: one reader at a time.
+class FrameReader {
+ public:
+  // Fills `*out` with the next frame, blocking in recv until it is complete.
+  // Returns the RecvSome errors for the transport (kUnavailable on EOF, even
+  // mid-frame; kTimeout at the socket's receive deadline) and the
+  // DecodeFrame errors (kInvalidArgument) for a corrupt stream. After any
+  // error the stream is unusable: drop the connection and Reset().
+  Status Next(Socket& socket, Frame* out);
+  // Drops buffered bytes and returns oversized memory. Call when the
+  // connection is torn down or re-dialed: leftovers belong to the old stream.
+  void Reset();
+
+ private:
+  static constexpr size_t kInitialSize = 64 * 1024;
+  std::string buffer_;  // allocated by the first Next; doubles for big frames
+  size_t begin_ = 0;    // first unparsed byte
+  size_t end_ = 0;      // one past the last received byte
+};
 
 }  // namespace net
 }  // namespace aft

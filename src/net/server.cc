@@ -1,7 +1,5 @@
 #include "src/net/server.h"
 
-#include <cstring>
-
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
 #include "src/net/message.h"
@@ -11,9 +9,6 @@ namespace aft {
 namespace net {
 
 namespace {
-
-// Initial per-connection read buffer; one frame larger than this doubles it.
-constexpr size_t kReadChunk = 64 * 1024;
 
 // Counts one in-flight request for the lifetime of a HandleRequest call.
 class InflightGuard {
@@ -160,48 +155,23 @@ void AftServiceServer::AcceptLoop() {
 }
 
 void AftServiceServer::ServeConnection(Connection* conn) {
-  // Buffered decode: one recv pulls in whatever the peer has sent — often
-  // several pipelined frames — and DecodeFrameFromBuffer parses them in
-  // place, so a pipelined burst costs one syscall to read.
-  std::string buffer(kReadChunk, '\0');
-  size_t begin = 0;  // first unparsed byte
-  size_t end = 0;    // one past the last received byte
+  FrameReader reader;
   Frame frame;
   // aftlint: hot
   while (running_.load(std::memory_order_acquire)) {
-    auto decoded = DecodeFrameFromBuffer(std::string_view(buffer).substr(begin, end - begin),
-                                         &frame);
-    if (!decoded.ok()) {
+    const Status read = reader.Next(conn->socket, &frame);
+    if (read.code() == StatusCode::kInvalidArgument) {
       // Stream-level corruption: the length prefix can no longer be trusted,
       // so the only safe move is to drop the connection.
       stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
       // aftlint-allow(obs-hot-log): teardown path — logs once, then the connection dies
       AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                    << "): dropping connection: " << decoded.status().ToString();
+                    << "): dropping connection: " << read.ToString();
       break;
     }
-    if (*decoded == 0) {
-      // Need more bytes: slide the partial frame to the front, grow the
-      // buffer only when one frame outsizes it, then block for the peer.
-      if (begin > 0) {
-        std::memmove(buffer.data(), buffer.data() + begin, end - begin);
-        end -= begin;
-        begin = 0;
-      }
-      if (end == buffer.size()) {
-        buffer.resize(buffer.size() * 2);
-      } else if (end == 0 && buffer.size() > kReadChunk) {
-        buffer.resize(kReadChunk);  // The big frame is served; give its memory back.
-        buffer.shrink_to_fit();
-      }
-      auto got = conn->socket.RecvSome(buffer.data() + end, buffer.size() - end);
-      if (!got.ok()) {
-        break;  // Peer hung up (normal), or Stop() shut the socket down.
-      }
-      end += *got;
-      continue;
+    if (!read.ok()) {
+      break;  // Peer hung up (normal), or Stop() shut the socket down.
     }
-    begin += *decoded;
     if (IsResponse(frame.type)) {
       stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
       break;  // A client sending response frames is not speaking the protocol.

@@ -7,8 +7,8 @@
 // and `TcpMulticastBus` are its two client populations.
 //
 // Concurrency model: one blocking handler thread per accepted connection.
-// The handler reads the socket into a per-connection buffer, decodes every
-// complete frame in it (`DecodeFrameFromBuffer`), and for each request in
+// The handler reads the socket through a per-connection `FrameReader`
+// (one recv, every complete frame decoded in place), and for each request in
 // arrival order runs the handler and writes the response itself (one writev
 // of header + arena payload segments). There is no hand-off between threads
 // on the request path: a request costs no cross-thread wakeup beyond the

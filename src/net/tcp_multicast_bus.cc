@@ -109,6 +109,7 @@ void TcpMulticastBus::KillEndpoint(const AftNode* node) {
   peer->server->Stop();
   MutexLock lock(peer->send_mu);
   peer->socket.Close();
+  peer->reader.Reset();
   peer->connected = false;
 }
 
@@ -126,18 +127,18 @@ Status TcpMulticastBus::DeliverTo(Peer& peer, const FrameBytes& frame) {
     peer.connected = true;
   }
   Status status = WriteFrameBytes(peer.socket, frame);
+  Frame ack;
   if (status.ok()) {
-    auto frame = ReadFrame(peer.socket);
-    if (!frame.ok()) {
-      status = frame.status();
-    } else if (frame->type != ResponseType(MessageType::kApplyCommits)) {
-      status = Status::Unavailable("gossip ack had wrong message type");
-    } else {
-      status = ApplyCommitsResponse::Deserialize(frame->payload).status();
-    }
+    status = peer.reader.Next(peer.socket, &ack);
+  }
+  if (status.ok()) {
+    status = ack.type != ResponseType(MessageType::kApplyCommits)
+                 ? Status::Unavailable("gossip ack had wrong message type")
+                 : ApplyCommitsResponse::Deserialize(ack.payload).status();
   }
   if (!status.ok()) {
     peer.socket.Close();
+    peer.reader.Reset();
     peer.connected = false;
   }
   return status;

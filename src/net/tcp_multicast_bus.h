@@ -32,6 +32,7 @@
 #include "src/cluster/multicast_bus.h"
 #include "src/common/mutex.h"
 #include "src/net/client.h"
+#include "src/net/frame.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
 #include "src/obs/metrics.h"
@@ -82,6 +83,7 @@ class TcpMulticastBus : public MulticastBus {
     // never serialize on the membership lock.
     Mutex send_mu;
     Socket socket GUARDED_BY(send_mu);
+    FrameReader reader GUARDED_BY(send_mu);  // reset with every re-dial
     bool connected GUARDED_BY(send_mu) = false;
   };
 

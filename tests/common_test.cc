@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/crc32.h"
 #include "src/common/latency.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
@@ -332,6 +333,74 @@ TEST(SerdeTest, EmptyVectorRoundTrip) {
   std::vector<std::string> v{"sentinel"};
   ASSERT_TRUE(r.GetStringVector(&v));
   EXPECT_TRUE(v.empty());
+}
+
+// ---- CRC-32 ----------------------------------------------------------------------
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition, kept
+// independent of the table-driven implementation under test.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t len, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(len, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng.Below(256));
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesKnownVector) {
+  // The canonical CRC-32 check value (IEEE 802.3, reflected 0xEDB88320).
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0x00000000u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every start offset within a 16-byte block (unaligned word loads) and
+  // every length through several blocks (every tail length, every block
+  // count up to 68).
+  constexpr size_t kMaxOffset = 16;
+  constexpr size_t kMaxLen = 1100;
+  const std::string buffer = RandomBytes(kMaxOffset + kMaxLen, 7);
+  const auto* bytes = reinterpret_cast<const uint8_t*>(buffer.data());
+  for (size_t offset = 0; offset < kMaxOffset; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(std::string_view(buffer).substr(offset, len)),
+                ReferenceCrc32(bytes + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, StreamingFeedEqualsOneShotAtEverySplit) {
+  constexpr size_t kLen = 300;
+  const std::string buffer = RandomBytes(kLen, 11);
+  const uint32_t one_shot = Crc32(buffer);
+  ASSERT_EQ(one_shot, ReferenceCrc32(reinterpret_cast<const uint8_t*>(buffer.data()), kLen));
+  const char* data = buffer.data();
+  for (size_t a = 0; a <= kLen; ++a) {
+    uint32_t state = Crc32Feed(Crc32Begin(), data, a);
+    state = Crc32Feed(state, data + a, kLen - a);
+    ASSERT_EQ(Crc32End(state), one_shot) << "split at " << a;
+    // Three pieces: every pair of cuts a <= b, so both cuts land at every
+    // offset within a 16-byte block and pieces can be shorter than one.
+    for (size_t b = a; b <= kLen; ++b) {
+      uint32_t three = Crc32Feed(Crc32Begin(), data, a);
+      three = Crc32Feed(three, data + a, b - a);
+      three = Crc32Feed(three, data + b, kLen - b);
+      ASSERT_EQ(Crc32End(three), one_shot) << "splits at " << a << " and " << b;
+    }
+  }
 }
 
 // ---- Stats ---------------------------------------------------------------------

@@ -28,10 +28,10 @@ using net::AftServiceServerOptions;
 using net::DecodeFrame;
 using net::EncodeFrame;
 using net::Frame;
+using net::FrameReader;
 using net::Listener;
 using net::MessageType;
 using net::NetEndpoint;
-using net::ReadFrame;
 using net::RemoteAftClient;
 using net::RemoteAftClientOptions;
 using net::Socket;
@@ -61,12 +61,6 @@ RemoteAftClientOptions FastClient() {
 }
 
 // ---- Frame layer ------------------------------------------------------------
-
-TEST(FrameTest, Crc32MatchesKnownVector) {
-  // The canonical CRC-32 check value (IEEE 802.3, reflected 0xEDB88320).
-  EXPECT_EQ(net::Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(net::Crc32(""), 0x00000000u);
-}
 
 TEST(FrameTest, RoundTripsPayloads) {
   const std::string payloads[] = {
@@ -147,9 +141,11 @@ TEST(FrameTest, TruncatedFrameOverSocketIsAnError) {
   const std::string bytes = EncodeFrame(MessageType::kPut, "this payload will be cut off");
   ASSERT_TRUE(writer->SendAll(bytes.data(), bytes.size() - 10).ok());
   writer->Close();
-  auto frame = ReadFrame(*reader);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable);
+  FrameReader frames;
+  Frame frame;
+  const Status read = frames.Next(*reader, &frame);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.code(), StatusCode::kUnavailable);
 }
 
 // ---- Message serde ----------------------------------------------------------
@@ -352,8 +348,9 @@ TEST_F(NetServiceTest, MultiGetAndPutBatchOverTcp) {
 }
 
 // A request larger than the server's initial per-connection read buffer
-// (64 KiB) grows it until the frame fits; the same connection then carries
-// small frames again once the big one is served.
+// (64 KiB) grows it until the frame fits, and so does the response on the
+// client's channel reader; the same connection then carries small frames
+// again once the big one is served.
 TEST_F(NetServiceTest, RequestLargerThanTheReadBufferRoundTrips) {
   AftServiceServer server(node_);
   ASSERT_TRUE(server.Start().ok());
@@ -445,6 +442,104 @@ TEST(NetClientTest, TimesOutOnSilentServer) {
 
   listener->Shutdown();
   sink.join();
+}
+
+// Encodes an OK response to a Ping or GetMetrics request carrying `text`.
+std::string FakeResponse(const Frame& request, const std::string& text) {
+  if (request.type == MessageType::kPing) {
+    net::PingResponse response;
+    response.node_id = text;
+    return EncodeFrame(net::ResponseType(MessageType::kPing), response.Serialize(Status::Ok()));
+  }
+  net::GetMetricsResponse response;
+  response.text = text;
+  return EncodeFrame(net::ResponseType(MessageType::kGetMetrics), response.Serialize(Status::Ok()));
+}
+
+// Renders a call's outcome for comparison: the value, or the error.
+std::string Outcome(const Result<std::string>& result) {
+  return result.ok() ? *result : "error: " + result.status().ToString();
+}
+
+// Two pipelined responses written with ONE send land in one client recv; the
+// channel's buffered reader must split them and hand each to its own FIFO
+// waiter.
+TEST(NetClientTest, TwoResponsesInOneSegmentReachTheirWaiters) {
+  auto listener = Listener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread fake([&listener] {
+    auto conn = listener->Accept();
+    if (!conn.ok()) {
+      return;
+    }
+    FrameReader requests;
+    Frame first;
+    Frame second;
+    if (!requests.Next(*conn, &first).ok() || !requests.Next(*conn, &second).ok()) {
+      return;
+    }
+    // Both requests are in flight; answer them at once, in request order.
+    auto answer = [](const Frame& request) {
+      return FakeResponse(request, request.type == MessageType::kPing ? "pong" : "metrics");
+    };
+    (void)conn->SendAll(answer(first) + answer(second));
+    char byte;
+    (void)conn->RecvAll(&byte, 1);  // Hold the connection until the client leaves.
+  });
+  {
+    RemoteAftClientOptions options = FastClient();
+    options.connections_per_endpoint = 1;
+    options.max_attempts = 1;
+    RemoteAftClient client({NetEndpoint{"127.0.0.1", listener->port()}}, options);
+    std::string pong;
+    std::string metrics;
+    std::thread pinger([&] { pong = Outcome(client.Ping(0)); });
+    std::thread scraper([&] { metrics = Outcome(client.GetMetrics(0)); });
+    pinger.join();
+    scraper.join();
+    EXPECT_EQ(pong, "pong");
+    EXPECT_EQ(metrics, "metrics");
+  }
+  listener->Shutdown();
+  fake.join();
+}
+
+// The first connection dies halfway through a response frame. The call
+// fails over to a re-dial, and the new stream parses cleanly: the torn
+// frame's bytes left in the channel's reader must not prefix the new stream.
+TEST(NetClientTest, ConnectionTornMidFrameRedialsAndParsesCleanly) {
+  auto listener = Listener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread fake([&listener] {
+    for (const std::string node_id : {"torn-connection-node", "fresh"}) {
+      auto conn = listener->Accept();
+      if (!conn.ok()) {
+        return;
+      }
+      FrameReader requests;
+      Frame request;
+      if (!requests.Next(*conn, &request).ok()) {
+        return;
+      }
+      const std::string response = FakeResponse(request, node_id);
+      if (node_id == "fresh") {
+        (void)conn->SendAll(response);
+        char byte;
+        (void)conn->RecvAll(&byte, 1);  // Hold the connection until the client leaves.
+        return;
+      }
+      // Header and part of the payload, then EOF.
+      (void)conn->SendAll(response.data(), response.size() - 4);
+    }
+  });
+  {
+    RemoteAftClient client({NetEndpoint{"127.0.0.1", listener->port()}}, FastClient());
+    EXPECT_EQ(Outcome(client.Ping(0)), "fresh");
+    EXPECT_EQ(client.stats().reconnects.load(), 1u);
+    EXPECT_EQ(client.stats().retries.load(), 1u);
+  }
+  listener->Shutdown();  // Unblocks the fake if the client never re-dialed.
+  fake.join();
 }
 
 TEST_F(NetServiceTest, PipelinedDeadlineExpiriesOnSilentServerAllReturnAndRecover) {
@@ -625,11 +720,13 @@ TEST_F(NetServiceTest, PipelinedRequestsAnswerInOrder) {
   }
   ASSERT_TRUE(raw->SendAll(burst).ok());
 
+  FrameReader frames;
   for (size_t i = 0; i < kDepth; ++i) {
-    auto frame = ReadFrame(*raw);
-    ASSERT_TRUE(frame.ok()) << "response " << i << ": " << frame.status().ToString();
-    ASSERT_EQ(frame->type, net::ResponseType(MessageType::kGet));
-    auto response = net::GetResponse::Deserialize(frame->payload);
+    Frame frame;
+    const Status read = frames.Next(*raw, &frame);
+    ASSERT_TRUE(read.ok()) << "response " << i << ": " << read.ToString();
+    ASSERT_EQ(frame.type, net::ResponseType(MessageType::kGet));
+    auto response = net::GetResponse::Deserialize(frame.payload);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_TRUE(response->read.value.has_value());
     EXPECT_EQ(*response->read.value, "value-" + std::to_string(i)) << "out of order at " << i;

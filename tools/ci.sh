@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point mirroring .github/workflows/ci.yml for environments without
-# GitHub Actions. Runs the 3-way build/test matrix sequentially, then the
-# clang-tidy job when the toolchain is present.
+# GitHub Actions. Runs the 3-way build/test matrix sequentially, the
+# perfbench self-check, then the clang-tidy job when the toolchain is present.
 #
 #   matrix leg 1: RelWithDebInfo            (plain build, full ctest)
 #   matrix leg 2: AFT_SANITIZE=thread       (TSan, full ctest)
@@ -124,6 +124,17 @@ if command -v clang-tidy >/dev/null 2>&1; then
   fi
 else
   echo "[SKIP] clang-tidy (not installed)"
+fi
+
+# perfbench self-check (mirrors the perfbench-self-check CI job): every
+# workload briefly, traced and untraced; fails on a broken correctness check
+# (RYW/fractured reads, newest acked version) or a missing metric.
+printf '\n==== CI leg: perfbench self-check ====\n'
+if python3 perfbench/run.py --self-check; then
+  echo "[PASS] perfbench self-check"
+else
+  echo "[FAIL] perfbench self-check"
+  rc=1
 fi
 
 # aftlint: repo-specific invariant checks (mirrors the aftlint CI job).
