@@ -42,7 +42,12 @@ void BM_AtomicReadSelect(benchmark::State& state) {
     benchmark::DoNotOptimize(SelectAtomicReadVersion("target", read_set, index, commits));
   }
 }
-BENCHMARK(BM_AtomicReadSelect)->Args({1, 0})->Args({8, 4})->Args({64, 16})->Args({256, 64});
+BENCHMARK(BM_AtomicReadSelect)
+    ->Args({1, 0})
+    ->Args({8, 4})
+    ->Args({64, 16})
+    ->Args({256, 64})
+    ->Args({16384, 0});
 
 void BM_IsTransactionSuperseded(benchmark::State& state) {
   Rng rng(2);

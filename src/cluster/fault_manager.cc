@@ -48,6 +48,9 @@ FaultManager::FaultManager(Clock& clock, StorageEngine& storage, LoadBalancer& b
   wrap("aft_fm_gc_rounds_total", "Global GC rounds run", stats_.gc_rounds);
   wrap("aft_fm_failures_detected_total", "Node failures detected", stats_.failures_detected);
   wrap("aft_fm_nodes_replaced_total", "Dead nodes replaced", stats_.nodes_replaced);
+  metric_callbacks_.push_back(reg.RegisterCallback(
+      "aft_fm_commit_set_entries", "Commit records known to the fault manager (GC backlog)",
+      obs::CallbackType::kGauge, {}, [this] { return static_cast<double>(commits_.size()); }));
 }
 
 FaultManager::~FaultManager() { Stop(); }
@@ -177,10 +180,12 @@ size_t FaultManager::RunGlobalGcOnce() {
   const std::vector<AftNode*> nodes = ManagedNodes();
   std::vector<CommitRecordPtr> victims;
   for (const auto& record : snapshot) {
-    if (victims.size() >= options_.gc_max_per_round) {
-      break;
-    }
     if (!IsTransactionSuperseded(*record, index_)) {
+      continue;
+    }
+    // Not indexed yet (an ingest sits between commits_.Add and AddCommit):
+    // collecting it now would strand its versions in the index.
+    if (!record->write_set.empty() && !index_.Contains(record->write_set.front(), record->id)) {
       continue;
     }
     // §5.2: delete only if every node has dropped the transaction locally

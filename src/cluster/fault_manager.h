@@ -47,9 +47,9 @@ struct FaultManagerOptions {
   // Records younger than this are skipped by the scan: they are normally
   // still in flight to the 1-second gossip, not missing.
   Duration liveness_grace = std::chrono::seconds(3);
-  // Global GC round period (§5.2).
+  // Global GC round period (§5.2). A round deletes every transaction all
+  // nodes agree to forget, so deletion keeps pace with any commit rate.
   Duration gc_interval = Millis(1000);
-  size_t gc_max_per_round = 4096;
   bool enable_global_gc = true;
   // Dedicated deletion cores (the paper used 1 of 4; the default here is 2
   // so deletion keeps pace with multi-node deployments committing >1500

@@ -98,6 +98,10 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
         [this, shard] { return static_cast<double>(commits_.ShardSize(shard)); }));
   }
   metric_callbacks_.push_back(reg.RegisterCallback(
+      "aft_node_index_versions", "Key versions in the version index (GC backlog)",
+      obs::CallbackType::kGauge, labels,
+      [this] { return static_cast<double>(index_.TotalVersionCount()); }));
+  metric_callbacks_.push_back(reg.RegisterCallback(
       "aft_node_write_buffer_bytes", "Dirty (unspilled) bytes buffered across running txns",
       obs::CallbackType::kGauge, labels, [this] {
         uint64_t total = 0;
@@ -993,7 +997,9 @@ size_t AftNode::RunLocalGcOnce() {
   // §5.1: remove a committed transaction's metadata when (a) it is
   // superseded and (b) no currently-executing transaction has read from its
   // write set. Oldest transactions are collected first, which mitigates the
-  // missing-versions pitfall of §5.2.1.
+  // missing-versions pitfall of §5.2.1. Every eligible record goes in one
+  // sweep, so the commit set and version index stay bounded by the live
+  // versions however fast commits arrive.
   std::vector<CommitRecordPtr> snapshot = commits_.Snapshot();
   std::sort(snapshot.begin(), snapshot.end(),
             [](const CommitRecordPtr& a, const CommitRecordPtr& b) { return a->id < b->id; });
@@ -1007,13 +1013,16 @@ size_t AftNode::RunLocalGcOnce() {
   }
   size_t removed = 0;
   for (const auto& record : snapshot) {
-    if (removed >= options_.local_gc_max_per_sweep) {
-      break;
-    }
     if (pending.contains(record->id)) {
       continue;
     }
     if (!IsTransactionSuperseded(*record, index_)) {
+      continue;
+    }
+    // Not indexed yet: its committer sits between commits_.Add and
+    // index_.AddCommit, and collecting it now would let that AddCommit leave
+    // versions in the index that no record backs and no sweep ever removes.
+    if (!record->write_set.empty() && !index_.Contains(record->write_set.front(), record->id)) {
       continue;
     }
     if (AnyRunningTransactionReadsFrom(record->id)) {

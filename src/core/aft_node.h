@@ -68,9 +68,9 @@ struct AftNodeOptions {
   // ("its transaction will be aborted after a timeout", §3.3.1).
   Duration txn_timeout = std::chrono::seconds(60);
 
-  // Background local-GC sweep period (§5.1) and per-sweep cap.
+  // Background local-GC sweep period (§5.1). Each sweep collects every
+  // eligible record, so GC keeps pace with any commit rate.
   Duration local_gc_interval = Millis(1000);
-  size_t local_gc_max_per_sweep = 4096;
   bool enable_background_threads = false;
 
   // How many of the newest commit records to load when bootstrapping the

@@ -48,24 +48,27 @@ TxnId KeyVersionIndex::LatestVersion(const std::string& key) const {
   return it->second.back();
 }
 
-std::vector<TxnId> KeyVersionIndex::CandidatesAtLeast(const std::string& key,
-                                                      const TxnId& lower) const {
+KeyVersionIndex::CandidatePage KeyVersionIndex::CandidatesBelow(const std::string& key,
+                                                                const TxnId& lower,
+                                                                const TxnId& below) const {
   ReaderMutexLock lock(mu_);
-  std::vector<TxnId> out;
+  CandidatePage page;
   auto it = versions_.find(std::string_view(key));
   if (it == versions_.end()) {
-    return out;
+    return page;
   }
   // Newest first (Algorithm 1 iterates in reverse timestamp order); the list
-  // is sorted ascending, so walk down from the upper end.
+  // is sorted ascending, so walk down from the cursor.
   const VersionList& list = it->second;
-  for (size_t i = list.size(); i-- > 0;) {
-    if (!lower.IsNull() && list[i] < lower) {
+  auto end = below.IsNull() ? list.end() : std::lower_bound(list.begin(), list.end(), below);
+  while (end != list.begin() && page.size() < kCandidatePage) {
+    --end;
+    if (*end < lower) {
       break;
     }
-    out.push_back(list[i]);
+    page.push_back(*end);
   }
-  return out;
+  return page;
 }
 
 bool KeyVersionIndex::Contains(const std::string& key, const TxnId& id) const {

@@ -1,6 +1,10 @@
 // In-memory index from each key to the recently committed versions of that
 // key (§3.1). Backs Algorithm 1's candidate enumeration and Algorithm 2's
 // latest-version lookups. Thread-safe; read-mostly (shared_mutex).
+//
+// Algorithm 1 reads the candidates a page at a time (CandidatesBelow), so a
+// read costs the versions it examines — almost always the newest one — not
+// the length of the key's history.
 
 #ifndef SRC_CORE_KEY_VERSION_INDEX_H_
 #define SRC_CORE_KEY_VERSION_INDEX_H_
@@ -8,7 +12,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/interner.h"
 #include "src/common/mutex.h"
@@ -32,9 +35,16 @@ class KeyVersionIndex {
   // The newest committed version of `key`, or Null() if none is known.
   TxnId LatestVersion(const std::string& key) const;
 
-  // All known versions of `key` with ID >= `lower`, newest first — the
-  // candidate list of Algorithm 1 line 11.
-  std::vector<TxnId> CandidatesAtLeast(const std::string& key, const TxnId& lower) const;
+  // One page of Algorithm 1's candidate list (line 11): up to
+  // kCandidatePage versions of `key` with lower <= ID < below, newest first.
+  // A Null() `below` means no upper bound (the first page); the next page
+  // passes the last ID of this one. A page shorter than kCandidatePage is
+  // the last. Versions added or removed between pages are simply seen or
+  // not by the later page — each page is consistent on its own.
+  static constexpr size_t kCandidatePage = 4;
+  using CandidatePage = SmallVector<TxnId, kCandidatePage>;
+  CandidatePage CandidatesBelow(const std::string& key, const TxnId& lower,
+                                const TxnId& below) const;
 
   // True if `id` is still indexed for `key`.
   bool Contains(const std::string& key, const TxnId& id) const;

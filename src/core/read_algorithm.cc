@@ -20,40 +20,42 @@ AtomicReadChoice SelectAtomicReadVersion(
     }
   }
 
-  // Lines 6-9: if we know of no version at all and nothing constrains us,
-  // the read observes the NULL version.
-  const TxnId latest = index.LatestVersion(key);
-  if (latest.IsNull() && lower.IsNull()) {
-    return AtomicReadChoice{AtomicReadChoice::Kind::kNullVersion, TxnId::Null(), nullptr};
-  }
-
-  // Line 11: candidate versions of `key` at least as new as `lower`,
-  // newest first.
-  const std::vector<TxnId> candidates = index.CandidatesAtLeast(key, lower);
-
-  // Lines 12-21: take the newest candidate that does not conflict with R.
+  // Lines 6-21: walk the candidates (versions of `key` at least as new as
+  // `lower`) newest first and take the first that does not conflict with R.
+  // The index hands them out a page at a time; the next page is fetched, below
+  // the last ID examined, only when every candidate so far was rejected. No
+  // index lock is held across the commit-set lookups. An empty walk with no
+  // lower bound is lines 6-9: the read observes the NULL version.
   uint32_t examined = 0;
-  for (const TxnId& t : candidates) {
-    ++examined;
-    CommitRecordPtr record = commits.Lookup(t);
-    if (record == nullptr) {
-      // Metadata GC'd between the index snapshot and now; we cannot check
-      // its cowrites, so skip it (reads get staler, never incorrect).
-      continue;
-    }
-    bool valid = true;
-    for (const std::string& cowritten_key : record->write_set) {
-      auto it = read_set.find(cowritten_key);
-      if (it != read_set.end() && it->second.version < t) {
-        // We already read an older version of a key T_t cowrote; returning
-        // k_t would mean we should have returned l_t earlier (case 2).
-        valid = false;
-        break;
+  TxnId below = TxnId::Null();  // Null: the first page has no upper bound.
+  for (;;) {
+    const KeyVersionIndex::CandidatePage page = index.CandidatesBelow(key, lower, below);
+    for (const TxnId& t : page) {
+      ++examined;
+      CommitRecordPtr record = commits.Lookup(t);
+      if (record == nullptr) {
+        // Metadata GC'd between the index read and now; we cannot check its
+        // cowrites, so skip it (reads get staler, never incorrect).
+        continue;
+      }
+      bool valid = true;
+      for (const std::string& cowritten_key : record->write_set) {
+        auto it = read_set.find(cowritten_key);
+        if (it != read_set.end() && it->second.version < t) {
+          // We already read an older version of a key T_t cowrote; returning
+          // k_t would mean we should have returned l_t earlier (case 2).
+          valid = false;
+          break;
+        }
+      }
+      if (valid) {
+        return AtomicReadChoice{AtomicReadChoice::Kind::kVersion, t, std::move(record), examined};
       }
     }
-    if (valid) {
-      return AtomicReadChoice{AtomicReadChoice::Kind::kVersion, t, std::move(record), examined};
+    if (page.size() < KeyVersionIndex::kCandidatePage) {
+      break;
     }
+    below = page.back();
   }
 
   // Lines 22-23: no valid version. If R places no lower bound on `key`, the

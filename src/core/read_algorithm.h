@@ -47,9 +47,18 @@ struct AtomicReadChoice {
 //    some cowritten key l of T_t was read in R at a version older than t
 //    (case 2 — we should have been given l_t earlier).
 //
+// The walk pages through the index (KeyVersionIndex::CandidatesBelow): it
+// asks for the next page, below the last candidate it examined, only when
+// every candidate so far was rejected, so a read costs the versions it
+// examines rather than the key's whole history. The order, the choice and
+// `candidates_examined` equal those of a walk over the full list.
+//
 // Candidates whose commit record has been concurrently GC'd from `commits`
 // are skipped (they cannot be validated); this can only make reads staler,
-// never incorrect.
+// never incorrect. A version GC'd from the index before its page is read is
+// never examined at all; one added between pages is seen only if it sorts
+// below the cursor. Either way every candidate is validated against its own
+// commit record, so the result is still an Atomic Readset.
 AtomicReadChoice SelectAtomicReadVersion(
     const std::string& key, const std::unordered_map<std::string, ReadSetEntry>& read_set,
     const KeyVersionIndex& index, const CommitSetCache& commits);

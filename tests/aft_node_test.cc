@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "src/core/aft_node.h"
+#include "src/obs/metrics.h"
 #include "src/storage/sim_dynamo.h"
 
 namespace aft {
@@ -356,6 +357,55 @@ TEST_F(AftNodeTest, LocalGcSparesRecordsReadByRunningTxns) {
   // Once the reader finishes, GC may proceed.
   ASSERT_TRUE(node->AbortTransaction(*reader).ok());
   EXPECT_EQ(node->RunLocalGcOnce(), 1u);
+}
+
+// One sweep collects the whole backlog, however many records have piled up,
+// except what a running reader pins.
+TEST_F(AftNodeTest, LocalGcKeepsPaceWithTheCommitBacklog) {
+  auto node = MakeNode("n0");
+  constexpr int kKeys = 4;
+  constexpr int kCommits = 10000;
+  std::optional<Uuid> reader;
+  TxnId pinned;
+  std::vector<TxnId> newest(kKeys);
+  for (int i = 0; i < kCommits; ++i) {
+    const std::string key = "k" + std::to_string(i % kKeys);
+    newest[i % kKeys] = CommitSimple(*node, {{key, "v" + std::to_string(i)}});
+    if (i == 100) {
+      // A running transaction reads k0 as of commit 100 and stays open.
+      reader = *node->StartTransaction();
+      auto read = node->GetVersioned(*reader, "k0");
+      ASSERT_TRUE(read.ok());
+      pinned = read->version;
+    }
+  }
+  node->DrainRecentCommits(nullptr, nullptr);
+  ASSERT_EQ(node->CommitSetSize(), static_cast<size_t>(kCommits));
+  // The backlog gauge on /metrics.
+  auto index_versions = [] {
+    double value = -1;
+    EXPECT_TRUE(obs::MetricsRegistry::Global().ReadValue("aft_node_index_versions",
+                                                         {{"node", "n0"}}, &value));
+    return value;
+  };
+  EXPECT_EQ(index_versions(), kCommits);
+
+  EXPECT_EQ(node->RunLocalGcOnce(), static_cast<size_t>(kCommits - kKeys - 1));
+  // Left: each key's newest record, plus the one the reader pins.
+  EXPECT_EQ(node->CommitSetSize(), static_cast<size_t>(kKeys + 1));
+  EXPECT_EQ(node->KeyVersionCount(), static_cast<size_t>(kKeys + 1));
+  EXPECT_EQ(index_versions(), kKeys + 1);
+  EXPECT_FALSE(node->HasLocallyDeleted(pinned));
+  for (const TxnId& id : newest) {
+    EXPECT_FALSE(node->HasLocallyDeleted(id));
+  }
+  // The reader's view survives the sweep; the newest value serves new reads.
+  EXPECT_EQ(node->GetVersioned(*reader, "k0")->version, pinned);
+  EXPECT_EQ(ReadOnce(*node, "k0").value(), "v" + std::to_string(kCommits - kKeys));
+
+  ASSERT_TRUE(node->AbortTransaction(*reader).ok());
+  EXPECT_EQ(node->RunLocalGcOnce(), 1u);
+  EXPECT_EQ(node->CommitSetSize(), static_cast<size_t>(kKeys));
 }
 
 TEST_F(AftNodeTest, GcPreservesRepeatableReadsViaPinnedRecords) {

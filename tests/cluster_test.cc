@@ -5,6 +5,7 @@
 
 #include "src/cluster/aft_client.h"
 #include "src/cluster/deployment.h"
+#include "src/obs/metrics.h"
 #include "src/storage/sim_dynamo.h"
 
 namespace aft {
@@ -233,6 +234,52 @@ TEST_F(ClusterTest, GlobalGcBlockedWhileAnyNodeStillCachesRecord) {
   // Once node 1 drops it too, the deletion can proceed.
   (void)cluster.node(1)->RunLocalGcOnce();
   EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 1u);
+}
+
+// One global round deletes every agreed record, however large the backlog.
+TEST_F(ClusterTest, GlobalGcKeepsPaceWithTheCommitBacklog) {
+  ClusterDeployment cluster(storage_, clock_, ManualCluster(2));
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kKeys = 4;
+  constexpr int kCommits = 10000;
+  std::vector<TxnId> ids;
+  ids.reserve(kCommits);
+  for (int i = 0; i < kCommits; ++i) {
+    ids.push_back(CommitVia(*cluster.node(0), "k" + std::to_string(i % kKeys),
+                            "v" + std::to_string(i)));
+  }
+  cluster.bus().RunOnce();  // The fault manager ingests every record.
+  (void)cluster.node(0)->RunLocalGcOnce();
+  (void)cluster.node(1)->RunLocalGcOnce();
+  // The backlog gauge on /metrics.
+  auto fm_commits = [] {
+    double value = -1;
+    EXPECT_TRUE(
+        obs::MetricsRegistry::Global().ReadValue("aft_fm_commit_set_entries", {}, &value));
+    return value;
+  };
+  EXPECT_EQ(fm_commits(), kCommits);
+
+  constexpr size_t kSuperseded = kCommits - kKeys;
+  EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), kSuperseded);
+  EXPECT_EQ(cluster.fault_manager().KnownCommitCount(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(fm_commits(), kKeys);
+  cluster.fault_manager().Stop();  // Drain the deletion pool.
+  EXPECT_EQ(cluster.fault_manager().stats().txns_deleted.load(), kSuperseded);
+  EXPECT_EQ(cluster.fault_manager().stats().versions_deleted.load(), kSuperseded);
+  for (size_t i = 0; i < kSuperseded; ++i) {
+    const std::string key = "k" + std::to_string(i % kKeys);
+    ASSERT_TRUE(storage_.Get(CommitStorageKey(ids[i])).status().IsNotFound()) << i;
+    ASSERT_TRUE(storage_.Get(VersionStorageKey(key, ids[i].uuid)).status().IsNotFound()) << i;
+    ASSERT_FALSE(cluster.node(0)->HasLocallyDeleted(ids[i])) << i;
+  }
+  for (int k = 0; k < kKeys; ++k) {
+    const int last = kCommits - kKeys + k;
+    EXPECT_EQ(ReadVia(*cluster.node(0), "k" + std::to_string(k)).value(),
+              "v" + std::to_string(last));
+    EXPECT_EQ(ReadVia(*cluster.node(1), "k" + std::to_string(k)).value(),
+              "v" + std::to_string(last));
+  }
 }
 
 TEST_F(ClusterTest, GlobalGcCanBeDisabled) {

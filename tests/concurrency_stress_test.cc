@@ -132,6 +132,108 @@ TEST(ConcurrencyStressTest, SingleNodeHammer) {
   ASSERT_TRUE(node.AbortTransaction(*txid).ok());
 }
 
+// Readers walk one hot key through more than a page of candidates while
+// commits keep adding versions and local GC removes them. Every commit writes
+// the same tag to `hot` and `pair`; a reader reads `pair`, waits for more
+// than a page of newer commits, then reads `hot`. Each of those newer `hot`
+// versions cowrote a newer `pair`, so Algorithm 1 rejects them all and must
+// page down to the version the reader saw for `pair`: the read returns that
+// same tag, or aborts if the version was collected first (§5.2.1).
+TEST(ConcurrencyStressTest, PagedReadWalkRacesGcAndCommits) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  AftNode node("stress-node", storage, clock, StressNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+
+  auto commit_pair = [&](const std::string& tag) {
+    auto txid = node.StartTransaction();
+    EXPECT_TRUE(txid.ok());
+    EXPECT_TRUE(node.Put(*txid, "hot", tag).ok());
+    EXPECT_TRUE(node.Put(*txid, "pair", tag).ok());
+    return node.CommitTransaction(*txid).ok();
+  };
+  ASSERT_TRUE(commit_pair("seed"));
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kReadsPerReader = 40;
+  // Commits a reader waits for: more than one page of rejected candidates.
+  constexpr uint64_t kNewer = 2 * KeyVersionIndex::kCandidatePage + 1;
+
+  std::atomic<uint64_t> commits{0};
+  std::atomic<int> readers_left{kReaders};
+  std::atomic<uint64_t> matched{0};
+  std::atomic<uint64_t> aborted{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; readers_left.load() > 0; ++i) {
+        if (commit_pair("w" + std::to_string(w) + "-" + std::to_string(i))) {
+          commits.fetch_add(1);
+        }
+      }
+    });
+  }
+  // One read-only transaction; a read may abort under this much churn (its
+  // selection never settles, or its version was collected first).
+  auto read_pair_then_hot = [&] {
+    auto txid = node.StartTransaction();
+    ASSERT_TRUE(txid.ok());
+    auto pair = node.Get(*txid, "pair");
+    if (pair.ok()) {
+      ASSERT_TRUE(pair->has_value());
+      const uint64_t seen = commits.load();
+      while (commits.load() < seen + kNewer) {
+        std::this_thread::yield();
+      }
+      auto hot = node.Get(*txid, "hot");
+      if (hot.ok()) {
+        ASSERT_TRUE(hot->has_value());
+        EXPECT_EQ(**hot, **pair) << "fractured read across a paged walk";
+        matched.fetch_add(1);
+      } else {
+        EXPECT_TRUE(hot.status().IsAborted()) << hot.status().ToString();
+        aborted.fetch_add(1);
+      }
+    } else {
+      EXPECT_TRUE(pair.status().IsAborted()) << pair.status().ToString();
+      aborted.fetch_add(1);
+    }
+    ASSERT_TRUE(node.AbortTransaction(*txid).ok());
+  };
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        read_pair_then_hot();
+      }
+      readers_left.fetch_sub(1);  // Even after a failed assertion: writers stop.
+    });
+  }
+  // Local GC racing the walks, and the drain that makes records collectable.
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      node.DrainRecentCommits(nullptr, nullptr);
+      node.RunLocalGcOnce();
+      std::this_thread::yield();
+    }
+  });
+
+  for (int t = 0; t < kWriters + kReaders; ++t) {
+    threads[t].join();
+  }
+  stop.store(true, std::memory_order_release);
+  threads.back().join();
+
+  EXPECT_EQ(matched.load() + aborted.load(), static_cast<uint64_t>(kReaders) * kReadsPerReader);
+  EXPECT_GT(matched.load(), 0u);
+  EXPECT_EQ(node.RunningTransactionCount(), 0u);
+  // Once the readers are gone, one sweep leaves only the newest version.
+  node.DrainRecentCommits(nullptr, nullptr);
+  node.RunLocalGcOnce();
+  EXPECT_EQ(node.KeyVersionCount(), 2u);
+}
+
 // ---- Multi-node ------------------------------------------------------------------
 
 // Committers spread across a 3-node cluster through the load balancer while

@@ -43,15 +43,55 @@ TEST(KeyVersionIndexTest, CandidatesNewestFirstRespectingLowerBound) {
   index.AddCommit(*r2);
   index.AddCommit(*r3);
 
-  auto all = index.CandidatesAtLeast("k", TxnId::Null());
+  auto all = index.CandidatesBelow("k", TxnId::Null(), TxnId::Null());
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], r3->id);
   EXPECT_EQ(all[2], r1->id);
 
-  auto bounded = index.CandidatesAtLeast("k", r2->id);
+  auto bounded = index.CandidatesBelow("k", r2->id, TxnId::Null());
   ASSERT_EQ(bounded.size(), 2u);
   EXPECT_EQ(bounded[0], r3->id);
   EXPECT_EQ(bounded[1], r2->id);
+
+  EXPECT_TRUE(index.CandidatesBelow("missing", TxnId::Null(), TxnId::Null()).empty());
+}
+
+TEST(KeyVersionIndexTest, CandidatePagesWalkDownFromTheCursor) {
+  KeyVersionIndex index;
+  constexpr size_t kPage = KeyVersionIndex::kCandidatePage;
+  std::vector<TxnId> ids;  // Ascending.
+  for (size_t i = 1; i <= 2 * kPage + 1; ++i) {
+    auto record = MakeRecord(static_cast<int64_t>(10 * i), {"k"});
+    index.AddCommit(*record);
+    ids.push_back(record->id);
+  }
+  // Full pages of the newest versions, then the short last page.
+  std::vector<TxnId> walked;
+  TxnId below = TxnId::Null();
+  size_t pages = 0;
+  for (;;) {
+    auto page = index.CandidatesBelow("k", TxnId::Null(), below);
+    ++pages;
+    walked.insert(walked.end(), page.begin(), page.end());
+    if (page.size() < kPage) {
+      break;
+    }
+    below = page.back();
+  }
+  EXPECT_EQ(pages, 3u);
+  EXPECT_EQ(walked, std::vector<TxnId>(ids.rbegin(), ids.rend()));
+
+  // The cursor is exclusive, a cursor between versions works, and the lower
+  // bound cuts a page short.
+  auto page = index.CandidatesBelow("k", ids[1], ids[3]);
+  ASSERT_EQ(page.size(), 2u);
+  EXPECT_EQ(page[0], ids[2]);
+  EXPECT_EQ(page[1], ids[1]);
+  const TxnId between(ids[3].timestamp - 1, ids[3].uuid);
+  page = index.CandidatesBelow("k", TxnId::Null(), between);
+  ASSERT_EQ(page.size(), 3u);
+  EXPECT_EQ(page[0], ids[2]);
+  EXPECT_TRUE(index.CandidatesBelow("k", TxnId::Null(), ids[0]).empty());
 }
 
 TEST(KeyVersionIndexTest, RemoveCommitDropsVersions) {
@@ -87,7 +127,7 @@ TEST(KeyVersionIndexTest, ConcurrentReadersAndWriters) {
   std::thread reader([&] {
     while (!stop.load()) {
       (void)index.LatestVersion("hot");
-      (void)index.CandidatesAtLeast("hot", TxnId::Null());
+      (void)index.CandidatesBelow("hot", TxnId::Null(), TxnId::Null());
     }
   });
   writer.join();

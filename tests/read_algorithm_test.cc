@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/common/rng.h"
 #include "src/core/read_algorithm.h"
 
@@ -219,6 +222,236 @@ TEST_P(ReadAlgorithmPropertyTest, ReadSetsAreAlwaysAtomic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReadAlgorithmPropertyTest, ::testing::Range(0, 8));
+
+// ---- Paged walk vs the full-list walk ---------------------------------------------
+
+using ReadSet = std::unordered_map<std::string, ReadSetEntry>;
+
+// Reference walk: takes every version >= lower of the key's (ascending)
+// version list up front and walks them newest first, with no paging.
+AtomicReadChoice FullListSelect(const std::string& key, const ReadSet& read_set,
+                                const std::vector<TxnId>& versions,
+                                const CommitSetCache& commits) {
+  TxnId lower = TxnId::Null();
+  for (const auto& [read_key, entry] : read_set) {
+    if (entry.record == nullptr) {
+      continue;
+    }
+    const auto& cowritten = entry.record->write_set;
+    if (std::find(cowritten.begin(), cowritten.end(), key) != cowritten.end()) {
+      lower = std::max(lower, entry.version);
+    }
+  }
+  const TxnId latest = versions.empty() ? TxnId::Null() : versions.back();
+  if (latest.IsNull() && lower.IsNull()) {
+    return AtomicReadChoice{AtomicReadChoice::Kind::kNullVersion, TxnId::Null(), nullptr};
+  }
+  std::vector<TxnId> candidates;
+  for (auto it = versions.rbegin(); it != versions.rend() && !(*it < lower); ++it) {
+    candidates.push_back(*it);
+  }
+  uint32_t examined = 0;
+  for (const TxnId& t : candidates) {
+    ++examined;
+    CommitRecordPtr record = commits.Lookup(t);
+    if (record == nullptr) {
+      continue;
+    }
+    const bool valid =
+        std::none_of(record->write_set.begin(), record->write_set.end(), [&](const auto& l) {
+          auto it = read_set.find(l);
+          return it != read_set.end() && it->second.version < t;
+        });
+    if (valid) {
+      return AtomicReadChoice{AtomicReadChoice::Kind::kVersion, t, std::move(record), examined};
+    }
+  }
+  return AtomicReadChoice{lower.IsNull() ? AtomicReadChoice::Kind::kNullVersion
+                                         : AtomicReadChoice::Kind::kNoValidVersion,
+                          TxnId::Null(), nullptr, examined};
+}
+
+class PagedWalkTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kPage = KeyVersionIndex::kCandidatePage;
+
+  CommitRecordPtr Commit(int64_t ts, std::vector<std::string> keys) {
+    auto record = std::make_shared<const CommitRecord>(
+        CommitRecord{TxnId(ts, Uuid::Random(rng_)), std::move(keys)});
+    commits_.Add(record);
+    index_.AddCommit(*record);
+    for (const std::string& key : record->write_set) {
+      auto& list = history_[key];
+      list.insert(std::lower_bound(list.begin(), list.end(), record->id), record->id);
+    }
+    return record;
+  }
+
+  // GC of the record: gone from the index, the commit set and the history.
+  void Collect(const CommitRecordPtr& record) {
+    index_.RemoveCommit(*record);
+    commits_.Remove(record->id);
+    for (const std::string& key : record->write_set) {
+      auto& list = history_[key];
+      list.erase(std::find(list.begin(), list.end(), record->id));
+    }
+  }
+
+  // Runs both walks and checks they agree; returns the paged walk's choice.
+  AtomicReadChoice ExpectSameAsFullList(const std::string& key, const ReadSet& read_set) {
+    const AtomicReadChoice paged = SelectAtomicReadVersion(key, read_set, index_, commits_);
+    const AtomicReadChoice full = FullListSelect(key, read_set, history_[key], commits_);
+    EXPECT_EQ(paged.kind, full.kind) << key;
+    EXPECT_EQ(paged.version, full.version) << key;
+    EXPECT_EQ(paged.candidates_examined, full.candidates_examined) << key;
+    EXPECT_EQ(paged.record, full.record) << key;
+    return paged;
+  }
+
+  Rng rng_{77};
+  KeyVersionIndex index_;
+  CommitSetCache commits_;
+  std::map<std::string, std::vector<TxnId>> history_;  // Ascending; mirrors index_.
+};
+
+// Random histories (up to ~64 versions per key, committed out of order, some
+// records collected and some with their metadata already dropped from the
+// commit set) and random read sets — not necessarily atomic ones, so that
+// long runs of candidates get rejected and walks cross many pages.
+class PagedWalkPropertyTest : public PagedWalkTest, public ::testing::WithParamInterface<int> {};
+
+TEST_P(PagedWalkPropertyTest, MatchesFullListWalk) {
+  rng_.Seed(5000 + GetParam());
+  const std::vector<std::string> keys{"a", "b", "c", "d"};
+  const int txn_count = 1 + static_cast<int>(rng_.Below(128));
+  std::vector<int64_t> stamps;
+  for (int i = 1; i <= txn_count; ++i) {
+    stamps.push_back(10 * i);
+  }
+  std::shuffle(stamps.begin(), stamps.end(), rng_);
+  std::map<std::string, std::vector<CommitRecordPtr>> writers;
+  std::vector<CommitRecordPtr> records;
+  for (int64_t ts : stamps) {
+    std::vector<std::string> write_set;
+    for (const auto& key : keys) {
+      if (rng_.Bernoulli(0.5)) {
+        write_set.push_back(key);
+      }
+    }
+    if (write_set.empty()) {
+      write_set.push_back(keys[rng_.Below(keys.size())]);
+    }
+    records.push_back(Commit(ts, std::move(write_set)));
+    for (const std::string& key : records.back()->write_set) {
+      writers[key].push_back(records.back());
+    }
+  }
+  for (const CommitRecordPtr& record : records) {
+    const double roll = rng_.NextDouble();
+    if (roll < 0.1) {
+      Collect(record);
+    } else if (roll < 0.2) {
+      commits_.Remove(record->id);  // Still indexed: the walk skips it on lookup.
+    }
+  }
+
+  uint32_t deepest = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    ReadSet read_set;
+    for (const auto& key : keys) {
+      if (!writers[key].empty() && rng_.Bernoulli(0.5)) {
+        const CommitRecordPtr& record = writers[key][rng_.Below(writers[key].size())];
+        read_set[key] = ReadSetEntry{record->id, record};
+      }
+    }
+    for (const auto& key : keys) {
+      deepest = std::max(deepest, ExpectSameAsFullList(key, read_set).candidates_examined);
+    }
+  }
+  if (txn_count > 32) {
+    EXPECT_GT(deepest, 2 * kPage) << "walks should cross several pages";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PagedWalkPropertyTest, ::testing::Range(0, 16));
+
+// `rejected` versions of k, each cowritten with l after the l version the
+// read set holds, sit above `older` versions of k alone.
+class PageBoundaryTest : public PagedWalkTest {
+ protected:
+  void Build(size_t rejected, size_t older) {
+    const CommitRecordPtr l = Commit(5, {"l"});
+    read_set_["l"] = ReadSetEntry{l->id, l};
+    for (size_t i = 0; i < older; ++i) {
+      older_.push_back(Commit(10 + static_cast<int64_t>(i), {"k"}));
+    }
+    for (size_t i = 0; i < rejected; ++i) {
+      Commit(100 + static_cast<int64_t>(i), {"k", "l"});
+    }
+  }
+
+  // A version GC'd while the walk is between pages. The next page is read
+  // after the removal, so the paged walk sees exactly what it would see had
+  // the version been collected before the read began: it never examines it.
+  // The full-list walk had copied it and skips it on the failed lookup. Both
+  // pick the same version; the paged walk examines one candidate fewer.
+  void ExpectRemovalBetweenPagesIsSkipped(size_t rejected) {
+    Build(rejected, 2);
+    // The newest older version is the first candidate below the first page
+    // (rejected == kPage) or the second on the next page (kPage + 1).
+    const CommitRecordPtr removed = older_.back();
+    const std::vector<TxnId> before_removal = history_["k"];
+    Collect(removed);
+    const AtomicReadChoice paged = SelectAtomicReadVersion("k", read_set_, index_, commits_);
+    const AtomicReadChoice full = FullListSelect("k", read_set_, before_removal, commits_);
+    ASSERT_EQ(paged.kind, AtomicReadChoice::Kind::kVersion);
+    EXPECT_EQ(full.kind, AtomicReadChoice::Kind::kVersion);
+    EXPECT_EQ(paged.version, older_.front()->id);
+    EXPECT_EQ(full.version, older_.front()->id);
+    EXPECT_EQ(paged.candidates_examined + 1, full.candidates_examined);
+
+    // Removed after its page was read instead: the page still lists it, the
+    // lookup fails, and the walk matches the full-list walk exactly.
+    index_.AddCommit(*removed);
+    const AtomicReadChoice late = SelectAtomicReadVersion("k", read_set_, index_, commits_);
+    EXPECT_EQ(late.version, full.version);
+    EXPECT_EQ(late.candidates_examined, full.candidates_examined);
+  }
+
+  ReadSet read_set_;
+  std::vector<CommitRecordPtr> older_;  // Ascending.
+};
+
+TEST_F(PageBoundaryTest, ExactlyOnePageRejected) {
+  Build(kPage, 2);
+  const AtomicReadChoice choice = ExpectSameAsFullList("k", read_set_);
+  ASSERT_EQ(choice.kind, AtomicReadChoice::Kind::kVersion);
+  EXPECT_EQ(choice.version, older_.back()->id);
+  EXPECT_EQ(choice.candidates_examined, kPage + 1);
+}
+
+TEST_F(PageBoundaryTest, OnePagePlusOneRejected) {
+  Build(kPage + 1, 2);
+  const AtomicReadChoice choice = ExpectSameAsFullList("k", read_set_);
+  ASSERT_EQ(choice.kind, AtomicReadChoice::Kind::kVersion);
+  EXPECT_EQ(choice.version, older_.back()->id);
+  EXPECT_EQ(choice.candidates_examined, kPage + 2);
+}
+
+TEST_F(PageBoundaryTest, EveryCandidateRejectedAcrossPages) {
+  Build(2 * kPage, 0);
+  const AtomicReadChoice choice = ExpectSameAsFullList("k", read_set_);
+  EXPECT_EQ(choice.kind, AtomicReadChoice::Kind::kNullVersion);
+  EXPECT_EQ(choice.candidates_examined, 2 * kPage);
+}
+
+TEST_F(PageBoundaryTest, VersionRemovedBetweenPagesAfterOneRejectedPage) {
+  ExpectRemovalBetweenPagesIsSkipped(kPage);
+}
+
+TEST_F(PageBoundaryTest, VersionRemovedBetweenPagesAfterOnePagePlusOne) {
+  ExpectRemovalBetweenPagesIsSkipped(kPage + 1);
+}
 
 // ---- Algorithm 2 -----------------------------------------------------------------
 

@@ -13,7 +13,8 @@ NOW", not "since boot".
 Per node: txn/s, commit p50/p99, per-stage p50/p99 from the
 aft_commit_stage_seconds breakdown (txn_lock_wait / queue_wait_* /
 data_flush / barrier / record_write / gossip_publish), batcher role mix,
-and fsyncs per committed transaction. Pure stdlib.
+fsyncs per committed transaction, and the GC backlog (indexed key versions
+and the fault manager's commit set, as of this scrape). Pure stdlib.
 """
 
 import argparse
@@ -153,6 +154,16 @@ def fmt_rate(v):
     return "%.1f" % v
 
 
+def fmt_count(v):
+    if v is None:
+        return "-"
+    if v >= 1e6:
+        return "%.1fM" % (v / 1e6)
+    if v >= 1000:
+        return "%.1fk" % (v / 1000.0)
+    return "%d" % v
+
+
 def node_row(endpoint, cur, prev, window_s):
     """One endpoint's headline stats dict (values may be None)."""
     committed = delta(cur, prev, "aft_node_txns_committed_total")
@@ -166,6 +177,10 @@ def node_row(endpoint, cur, prev, window_s):
         "p99": quantile(cur, prev, "aft_node_commit_latency_ms", 0.99),
         "leader_pct": None,
         "fsyncs_per_txn": None,
+        # Gauges, not deltas: a GC that falls behind shows as a backlog that
+        # keeps growing from frame to frame.
+        "index_versions": cur.value("aft_node_index_versions"),
+        "fm_commits": cur.value("aft_fm_commit_set_entries"),
         "stages": {},
     }
     batched = (leader or 0.0) + (follower or 0.0)
@@ -188,10 +203,10 @@ def render(rows, errors, interval, once):
     out.append("aft_top — %s  (window %.1fs; rates are since-last-scrape)" %
                (time.strftime("%H:%M:%S"), interval))
     out.append("")
-    header = "%-22s %8s %9s %9s %8s %10s" % (
-        "node", "txn/s", "commit", "commit", "leader", "fsyncs")
-    sub = "%-22s %8s %9s %9s %8s %10s" % (
-        "", "", "p50", "p99", "%", "/txn")
+    header = "%-22s %8s %9s %9s %8s %10s %9s %9s" % (
+        "node", "txn/s", "commit", "commit", "leader", "fsyncs", "backlog", "backlog")
+    sub = "%-22s %8s %9s %9s %8s %10s %9s %9s" % (
+        "", "", "p50", "p99", "%", "/txn", "versions", "fm recs")
     out.append(header)
     out.append(sub)
     out.append("-" * len(header))
@@ -199,10 +214,11 @@ def render(rows, errors, interval, once):
         # aft_node_commit_latency_ms buckets are in MILLISECONDS.
         p50 = fmt_dur(row["p50"] / 1e3) if row["p50"] is not None else "-"
         p99 = fmt_dur(row["p99"] / 1e3) if row["p99"] is not None else "-"
-        out.append("%-22s %8s %9s %9s %8s %10s" % (
+        out.append("%-22s %8s %9s %9s %8s %10s %9s %9s" % (
             row["endpoint"], fmt_rate(row["txn_rate"]), p50, p99,
             "%.0f%%" % row["leader_pct"] if row["leader_pct"] is not None else "-",
-            "%.2f" % row["fsyncs_per_txn"] if row["fsyncs_per_txn"] is not None else "-"))
+            "%.2f" % row["fsyncs_per_txn"] if row["fsyncs_per_txn"] is not None else "-",
+            fmt_count(row["index_versions"]), fmt_count(row["fm_commits"])))
     out.append("")
     out.append("commit stage breakdown (p50 / p99, this window)")
     stage_header = "%-22s" % "node" + "".join("%16s" % s[:15] for s in STAGES)
