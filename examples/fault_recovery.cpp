@@ -10,6 +10,9 @@
 //   3. An AFT node crashes BETWEEN writing data and writing the commit
 //      record; the partial data is never visible anywhere.
 //
+// Node crashes are injected at the storage boundary of the commit path by
+// the same CrashEngine decorator the crash tests use (tests/crash_engine.h).
+//
 //   $ ./build/examples/fault_recovery
 
 #include <cstdio>
@@ -18,6 +21,7 @@
 #include "src/cluster/deployment.h"
 #include "src/faas/faas_platform.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/crash_engine.h"
 
 using namespace aft;
 
@@ -78,18 +82,15 @@ int main() {
   // ---- Scenario 2: node dies after commit record, before broadcast ------------
   {
     SimDynamo fresh(clock);
-    AftNodeOptions node_options;
-    node_options.crash_hook = [](CrashPoint point) {
-      return point == CrashPoint::kAfterCommitWrite;
-    };
+    CrashEngine crashy(fresh);
     ClusterOptions options;
     options.num_nodes = 2;
     options.start_background_threads = false;
-    options.node_options = node_options;
-    ClusterDeployment cluster(fresh, clock, options);
+    ClusterDeployment cluster(crashy, clock, options);
     if (!cluster.Start().ok()) {
       return 1;
     }
+    crashy.Arm(CrashEngine::At::kAfterRecordWrite, [&cluster] { cluster.node(0)->Kill(); });
     auto txid = cluster.node(0)->StartTransaction();
     (void)cluster.node(0)->Put(*txid, "acked", "must-survive");
     Status commit = cluster.node(0)->CommitTransaction(*txid).status();
@@ -107,18 +108,15 @@ int main() {
   // ---- Scenario 3: node dies between data write and commit record -------------
   {
     SimDynamo fresh(clock);
-    AftNodeOptions node_options;
-    node_options.crash_hook = [](CrashPoint point) {
-      return point == CrashPoint::kAfterDataWrite;
-    };
+    CrashEngine crashy(fresh);
     ClusterOptions options;
     options.num_nodes = 2;
     options.start_background_threads = false;
-    options.node_options = node_options;
-    ClusterDeployment cluster(fresh, clock, options);
+    ClusterDeployment cluster(crashy, clock, options);
     if (!cluster.Start().ok()) {
       return 1;
     }
+    crashy.Arm(CrashEngine::At::kRecordWrite, [&cluster] { cluster.node(0)->Kill(); });
     auto txid = cluster.node(0)->StartTransaction();
     (void)cluster.node(0)->Put(*txid, "torn", "half-written");
     (void)cluster.node(0)->CommitTransaction(*txid);

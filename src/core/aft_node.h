@@ -23,6 +23,7 @@
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
 #include "src/common/pool_allocator.h"
+#include "src/common/small_vector.h"
 #include "src/common/status.h"
 #include "src/common/throttle.h"
 #include "src/core/commit_batcher.h"
@@ -39,14 +40,6 @@
 #include "src/storage/storage_engine.h"
 
 namespace aft {
-
-// Deterministic crash points used by fault-injection tests to kill a node at
-// the worst possible moments of the commit protocol (§3.3.1).
-enum class CrashPoint {
-  kBeforeDataWrite,
-  kAfterDataWrite,    // Data persisted, commit record NOT yet written.
-  kAfterCommitWrite,  // Commit record persisted, local caches NOT updated.
-};
 
 struct AftNodeOptions {
   // Data cache budget; 0 disables read caching (the "No Caching" bars of
@@ -94,18 +87,14 @@ struct AftNodeOptions {
   // retries.
   size_t committed_uuid_memory = 65536;
 
-  // Cross-transaction commit batching (src/core/commit_batcher.h):
-  // concurrent CommitTransaction calls coalesce into shared storage rounds
-  // — one merged data flush, one §3.3 barrier, one batched commit-record
-  // write — with per-transaction poisoning. A lone committer takes a solo
-  // fast path identical to the unbatched sequence. Automatically bypassed
-  // for the packed layout (its segment flush mutates per-txn state
-  // mid-write) and when a crash_hook is installed (the crash-point tests
-  // pin the exact legacy write sequence).
+  // Commit queue policy (src/core/commit_batcher.h). Every commit runs
+  // through the batcher; this picks whether concurrent commits fuse into
+  // shared storage rounds — one merged data flush, one §3.3 barrier, one
+  // batched commit-record write, with per-transaction poisoning — or each
+  // run as their own round. A lone committer runs alone either way. Off is
+  // the unfused reference the bench gate's batched-vs-unbatched stage
+  // compares against.
   bool enable_commit_batching = true;
-
-  // Fault-injection hook: return true to crash the node at this point.
-  std::function<bool(CrashPoint)> crash_hook;
 };
 
 // Point-in-time snapshot of one node's cumulative counters. The live values
@@ -147,7 +136,9 @@ class AftNode {
 
   // Simulates a node failure: all subsequent API calls fail with
   // kUnavailable and background threads stop. In-flight transactions that
-  // had not committed are lost (§3.3.1).
+  // had not committed are lost (§3.3.1); a commit whose storage round was in
+  // flight returns kUnavailable and is never acknowledged, though whatever
+  // the round persisted stands.
   void Kill();
   bool alive() const { return alive_.load(std::memory_order_acquire); }
 
@@ -259,13 +250,19 @@ class AftNode {
 
   Status CheckAlive() const;
   Result<TxnPtr> FindTransaction(const Uuid& txid);
-  // Writes the buffer's dirty entries to storage as version objects.
-  // `final_flush` marks the commit-time flush: the spilled-key bookkeeping
-  // (only ever consumed by abort's cleanup) is skipped — any versions
-  // orphaned by a failed commit are left to the orphan sweep, which the
-  // write-ordering barrier already relies on for partial flush failures.
-  Status FlushVersions(TransactionState& txn, const TxnId& writer_id, bool final_flush = false)
+  // The data writes persisting the buffer's dirty entries, stamped with
+  // `writer_id`: one version object per dirty key, or — packed layout — one
+  // segment object at txn.next_segment_index, with the transaction's full
+  // locator list (rewritten keys pointing into the new segment) left in
+  // `*locators`. Reads `txn` only; the caller commits the state change once
+  // the writes land.
+  SmallVector<WriteOp, 8> EncodeDirtyVersions(const TransactionState& txn,
+                                              const TxnId& writer_id,
+                                              std::vector<VersionLocator>* locators) const
       REQUIRES(txn.mu);
+  // Spills the buffer's dirty entries to storage (§3.3, saturated Atomic
+  // Write Buffer) and records them for abort's cleanup.
+  Status FlushVersions(TransactionState& txn) REQUIRES(txn.mu);
   // Fetches a version payload through the data cache with bounded retries.
   // `record` supplies the locators needed for the packed layout.
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
@@ -283,7 +280,6 @@ class AftNode {
   // memory, transaction-table erase, counters.
   void FinishCommittedTransaction(const Uuid& txid, const TxnId& commit_id);
   void BackgroundLoop();
-  bool MaybeCrash(CrashPoint point);
 
   const std::string node_id_;
   StorageEngine& storage_;
@@ -327,9 +323,10 @@ class AftNode {
   std::vector<CommitRecordPtr> pending_broadcast_ GUARDED_BY(broadcast_mu_);
   std::vector<obs::TraceContext> pending_broadcast_traces_ GUARDED_BY(broadcast_mu_);
 
-  // Group commit across transactions (see enable_commit_batching). The
-  // listener is read lock-free on the commit hot path: the flag is only
-  // ever set once, before traffic, so the std::function itself is stable.
+  // Runs every commit's storage round (queue policy: see
+  // enable_commit_batching). The listener is read lock-free on the commit
+  // hot path: the flag is only ever set once, before traffic, so the
+  // std::function itself is stable.
   CommitBatcher batcher_;
   std::function<void()> batch_listener_;
   std::atomic<bool> has_batch_listener_{false};
@@ -354,9 +351,8 @@ class AftNode {
     obs::Histogram* read_latency_ms;
     obs::Histogram* read_walk_depth;
     // aft_commit_stage_seconds children (shared with batcher_ — same
-    // registry keys). The node observes txn_lock_wait on every commit and
-    // the storage/publish stages on the legacy unbatched path; the batcher
-    // observes the queue and round stages on the batched path.
+    // registry keys). The node observes txn_lock_wait on every commit; the
+    // batcher observes the queue, storage and publish stages.
     CommitStageHistograms stages;
   };
   Instruments metrics_;

@@ -47,9 +47,9 @@ CommitStageHistograms CommitStageHistograms::ForNode(const std::string& node_id)
   return h;
 }
 
-CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage,
+CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage, bool fuse,
                              RoundPublisher publisher)
-    : node_id_(node_id), storage_(storage), publisher_(std::move(publisher)) {
+    : node_id_(node_id), storage_(storage), fuse_(fuse), publisher_(std::move(publisher)) {
   auto& reg = obs::MetricsRegistry::Global();
   const obs::MetricLabels labels = {{"node", node_id}};
   batch_size_ = reg.GetHistogram("aft_commit_batch_size", "Transactions fused per commit round",
@@ -66,17 +66,21 @@ CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage,
 }
 
 Status CommitBatcher::Commit(Pending& pending) {
-  const bool attrib = contention::StageTimingEnabled();
+  Pending* const self = &pending;
+  if (!fuse_) {
+    // Never join a queue: this commit is its own round, run here.
+    ExecuteRound(std::span<Pending* const>(&self, 1), self);
+    leader_commits_->Increment();
+    return std::move(pending.result);
+  }
   MutexLock lock(mu_);
   if (!round_in_flight_ && queue_.empty()) {
     // Solo fast path: nobody to piggyback on and nobody ahead. Run the
-    // round alone without touching the queue — with CommitUnits' n==1
-    // degeneration this is byte- and allocation-identical to the legacy
-    // unbatched commit, so a single writer pays nothing for batching.
+    // round alone without touching the queue, so a single writer pays
+    // nothing for batching.
     round_in_flight_ = true;
     lock.Unlock();
-    Pending* solo = &pending;
-    ExecuteRound(std::span<Pending* const>(&solo, 1), solo);
+    ExecuteRound(std::span<Pending* const>(&self, 1), self);
     lock.Lock();
     round_in_flight_ = false;
     cv_.NotifyAll();
@@ -87,7 +91,7 @@ Status CommitBatcher::Commit(Pending& pending) {
   // Queue wait opens here, not before the lock: the solo fast path above
   // never reads the clock for it (its wait is definitionally zero), and the
   // mutex acquire itself is already covered by the sampled lock profiler.
-  if (attrib) {
+  if (contention::StageTimingEnabled()) {
     pending.enqueued_ns = StageNowNs();
   }
   queue_.push_back(&pending);
@@ -166,36 +170,6 @@ void CommitBatcher::ExecuteRound(std::span<Pending* const> members, const Pendin
     // and the engine's last reading (profile.end) doubles as publish start.
     profile.start = StageClock::time_point(std::chrono::nanoseconds(round_start_ns));
   }
-  bool round_ok = false;
-  if (members.size() == 1) {
-    // One stack unit; no publisher list to build.
-    Pending& p = *members[0];
-    CommitUnit unit{p.data_ops, std::move(p.commit_record)};
-    Status result;
-    storage_.CommitUnits(std::span<CommitUnit>(&unit, 1), std::span<Status>(&result, 1),
-                         profile_ptr);
-    if (sampled) {
-      RecordRoundSpans(members, span_start, obs::Tracer::NowMicros());
-    }
-    p.result = std::move(result);
-    round_ok = p.result.ok();
-    double publish_s = 0;
-    if (publisher_ && round_ok) {
-      const uint64_t publish_start_ns =
-          !attrib ? 0
-          : profile.end != StageClock::time_point{} ? NsOf(profile.end)
-                                                    : StageNowNs();
-      publisher_(members);
-      if (attrib) {
-        publish_s = static_cast<double>(StageNowNs() - publish_start_ns) * 1e-9;
-      }
-    }
-    if (attrib) {
-      ObserveRoundStages(members, profile, publish_s, round_start_ns, span_start);
-    }
-    return;
-  }
-
   SmallVector<CommitUnit, 16> units;
   SmallVector<Status, 16> results;
   units.reserve(members.size());

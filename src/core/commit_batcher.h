@@ -1,18 +1,21 @@
 // Cross-transaction commit batching: group commit at the AFT protocol layer.
 //
-// CommitTransaction's storage cost is two serialized rounds against the
-// shared engine — flush the data versions, then (after the §3.3 barrier)
-// write the commit record. Under concurrency every transaction pays both
-// rounds by itself. The batcher coalesces them the way the WAL's group
-// commit coalesces fsyncs (latch-and-piggyback): the first committer
-// through becomes the round LEADER and executes the storage rounds for
-// everyone queued behind it; followers park on a condvar and wake with
-// their verdict already decided. Batches form adaptively — while a round
-// is in flight new arrivals queue, and whatever depth accumulated by round
-// completion IS the next batch. No timer, so a lone committer pays zero
-// added latency: the solo fast path never touches the queue and its
-// storage sequence (see StorageEngine::CommitUnits) is exactly the legacy
-// unbatched commit.
+// The batcher is the ONE place a commit touches storage. CommitTransaction's
+// storage cost is two serialized rounds against the shared engine — flush
+// the data versions, then (after the §3.3 barrier) write the commit record.
+// Under concurrency every transaction would pay both rounds by itself. The
+// batcher coalesces them the way the WAL's group commit coalesces fsyncs
+// (latch-and-piggyback): the first committer through becomes the round
+// LEADER and executes the storage rounds for everyone queued behind it;
+// followers park on a condvar and wake with their verdict already decided.
+// Batches form adaptively — while a round is in flight new arrivals queue,
+// and whatever depth accumulated by round completion IS the next batch. No
+// timer, so a lone committer pays zero added latency: it runs a one-member
+// round without queueing (StorageEngine::CommitUnits' n==1 strategy).
+//
+// The queue policy is a switch: with fusing off, every commit runs its own
+// one-member round on the caller's thread and never touches the queue —
+// the same round code, the same storage sequence, no fusing.
 //
 // Per-transaction semantics are preserved, not averaged: unit-level §3.3
 // ordering (a member's record is written only after ALL of that member's
@@ -78,7 +81,10 @@ class CommitBatcher {
   // one lock hold and nudges the gossip bus once for the whole round.
   using RoundPublisher = std::function<void(std::span<Pending* const> committed)>;
 
-  CommitBatcher(const std::string& node_id, StorageEngine& storage, RoundPublisher publisher);
+  // `fuse` picks the queue policy: true joins concurrent committers into
+  // shared rounds, false runs every commit as its own round.
+  CommitBatcher(const std::string& node_id, StorageEngine& storage, bool fuse,
+                RoundPublisher publisher);
 
   CommitBatcher(const CommitBatcher&) = delete;
   CommitBatcher& operator=(const CommitBatcher&) = delete;
@@ -97,11 +103,10 @@ class CommitBatcher {
   // form meanwhile.
   void ExecuteRound(std::span<Pending* const> members, const Pending* leader);
 
-  // Stamps the legacy per-phase lifecycle spans ("CommitFlush",
+  // Stamps the per-phase lifecycle spans ("CommitFlush",
   // "CommitRecordWrite") over [start_us, end_us] for every sampled member.
-  // The fused round persists data versions and commit records in one engine
-  // call, so both stages share the round's window; keeping the stage names
-  // keeps sampled traces readable by the same consumers as unbatched runs.
+  // A round persists data versions and commit records in one engine call,
+  // so both stages share the round's window.
   void RecordRoundSpans(std::span<Pending* const> members, uint64_t start_us,
                         uint64_t end_us) const;
 
@@ -116,6 +121,7 @@ class CommitBatcher {
 
   const std::string node_id_;
   StorageEngine& storage_;
+  const bool fuse_;
   const RoundPublisher publisher_;
 
   Mutex mu_{"batcher.queue"};

@@ -40,9 +40,9 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
     IoExecutor::ConsumeLatchWaitNanos();
   }
   if (units.size() == 1) {
-    // Solo fast path: identical to the legacy unbatched commit sequence
-    // (data flush, then the record once the flush is acknowledged), so a
-    // single writer pays no batching overhead — and no extra allocations.
+    // Solo fast path: the data flush, then the record once the flush is
+    // acknowledged — no flattening, so a single writer pays no batching
+    // overhead and no extra allocations.
     // Stage boundaries are shared clock readings (see CommitStageProfile):
     // two reads total when the caller supplied `start`.
     const auto flush_start =

@@ -145,9 +145,9 @@ class StorageEngine {
   // never written — without failing batch-mates; stray data versions a
   // poisoned unit did land are invisible orphans (no record references
   // them) left to the fault manager's sweep. Ops may be consumed like
-  // BatchPutConsume. A single-unit call degenerates to exactly the legacy
-  // unbatched commit (one BatchPutConsume + one Put), so the solo fast
-  // path costs nothing extra. Engines may override to fuse the rounds
+  // BatchPutConsume. A single-unit call is one BatchPutConsume then one
+  // Put, with no flattening and no pool hop, so a lone committer pays
+  // nothing for batching. Engines may override to fuse the rounds
   // further — the local engine rides a whole batch on one WAL append and
   // one group-committed fsync. A non-null `profile` receives the per-stage
   // wall-clock split documented on CommitStageProfile.

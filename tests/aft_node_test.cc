@@ -8,6 +8,7 @@
 #include "src/core/aft_node.h"
 #include "src/obs/metrics.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/crash_engine.h"
 
 namespace aft {
 namespace {
@@ -187,19 +188,17 @@ TEST_F(AftNodeTest, AdoptTransactionAllowsContinuation) {
 // ---- Write-ordering protocol / crash injection --------------------------------------
 
 TEST_F(AftNodeTest, CrashAfterDataWriteLeavesNoVisibleState) {
-  AftNodeOptions options;
-  bool crash_armed = true;
-  options.crash_hook = [&crash_armed](CrashPoint point) {
-    return crash_armed && point == CrashPoint::kAfterDataWrite;
-  };
-  auto node = MakeNode("crashy", options);
-  auto txid = node->StartTransaction();
-  ASSERT_TRUE(node->Put(*txid, "k", "half-done").ok());
-  EXPECT_TRUE(node->CommitTransaction(*txid).status().IsUnavailable());
-  EXPECT_FALSE(node->alive());
+  // The node dies on its commit-record write: data landed, the record did not.
+  CrashEngine crashy_storage(storage_);
+  AftNode node("crashy", crashy_storage, clock_);
+  ASSERT_TRUE(node.Start().ok());
+  crashy_storage.Arm(CrashEngine::At::kRecordWrite, [&node] { node.Kill(); });
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(node.Put(*txid, "k", "half-done").ok());
+  EXPECT_TRUE(node.CommitTransaction(*txid).status().IsUnavailable());
+  EXPECT_FALSE(node.alive());
 
   // The data version IS in storage (orphaned)...
-  crash_armed = false;
   auto keys = storage_.List(kVersionPrefix);
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 1u);
@@ -209,19 +208,16 @@ TEST_F(AftNodeTest, CrashAfterDataWriteLeavesNoVisibleState) {
 }
 
 TEST_F(AftNodeTest, CrashAfterCommitWriteIsDurable) {
-  AftNodeOptions options;
-  bool crash_armed = true;
-  options.crash_hook = [&crash_armed](CrashPoint point) {
-    return crash_armed && point == CrashPoint::kAfterCommitWrite;
-  };
-  auto node = MakeNode("crashy", options);
-  auto txid = node->StartTransaction();
-  ASSERT_TRUE(node->Put(*txid, "k", "durable").ok());
+  CrashEngine crashy_storage(storage_);
+  AftNode node("crashy", crashy_storage, clock_);
+  ASSERT_TRUE(node.Start().ok());
+  crashy_storage.Arm(CrashEngine::At::kAfterRecordWrite, [&node] { node.Kill(); });
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(node.Put(*txid, "k", "durable").ok());
   // The node dies before acknowledging, but the commit record IS persisted:
   // the transaction is committed (§3.3.1 — the client's retry would find it).
-  EXPECT_TRUE(node->CommitTransaction(*txid).status().IsUnavailable());
+  EXPECT_TRUE(node.CommitTransaction(*txid).status().IsUnavailable());
 
-  crash_armed = false;
   auto recovered = MakeNode("recovered");
   EXPECT_EQ(ReadOnce(*recovered, "k").value(), "durable");
 }

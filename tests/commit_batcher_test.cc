@@ -10,9 +10,11 @@
 //     stay readable.
 //   * Fusion — a multi-unit round on the local engine rides ONE batched API
 //     call and ONE group-committed fsync.
-//   * Equivalence — a batched node commit is observably identical to the
-//     legacy unbatched one, including after crash-recovery replay, and a
-//     failed round leaves the transaction retryable.
+//   * Equivalence — a fused node commit is observably identical to an
+//     unfused one, including after crash-recovery replay, and a failed
+//     round leaves the transaction retryable.
+//   * Packed layout — segment commits fuse like key-per-version ones, and
+//     a failed packed round never leaves a locator into its segment.
 // The TSan stress at the bottom drives concurrent committers through the
 // batcher under fault injection (run under -DAFT_SANITIZE=thread in CI).
 
@@ -247,7 +249,7 @@ TEST(CommitUnitsDefaultImpl, TwoRoundFallbackPreservesPerUnitOutcomes) {
 // ---- node-level contract ----------------------------------------------------
 
 TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
-  // The same workload through a batched and an unbatched node must leave
+  // The same workload through a fusing and a non-fusing node must leave
   // equivalent committed state, including after a reopen/replay cycle.
   for (const bool batching : {true, false}) {
     TempDir dir;
@@ -391,6 +393,136 @@ TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
       EXPECT_EQ(**read, "value-" + std::to_string(i));
     }
   }
+}
+
+// ---- packed layout through the batcher ---------------------------------------
+
+TEST(CommitBatcherPackedLayout, ConcurrentPackedCommitsFuseAndReadBack) {
+  // A bounded connection pool over a simulated round trip: committers
+  // arriving while a round is in flight queue behind it and fuse.
+  RealClock clock(0.05);
+  SimDynamoOptions engine_options;
+  engine_options.staleness = StalenessModel{};
+  SimDynamo engine(clock, engine_options);
+  engine.SetMaxConcurrentRequests(4);
+  AftNodeOptions options = FastNodeOptions();
+  options.packed_layout = true;
+  const std::string node_id = "packed-fuse";
+  AftNode node(node_id, engine, clock, options);
+  ASSERT_TRUE(node.Start().ok());
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* rounds = reg.GetCounter("aft_commit_batch_rounds_total",
+                                        "Batched commit rounds executed", {{"node", node_id}});
+  obs::Counter* led = reg.GetCounter("aft_commit_batch_commits_total",
+                                     "Commits by batch role (leader ran the round)",
+                                     {{"node", node_id}, {"role", "leader"}});
+  obs::Counter* followed = reg.GetCounter("aft_commit_batch_commits_total",
+                                          "Commits by batch role (follower piggybacked)",
+                                          {{"node", node_id}, {"role", "follower"}});
+  const uint64_t rounds_before = rounds->Value();
+  const uint64_t batched_before = led->Value() + followed->Value();
+
+  constexpr int kThreads = 8;
+  constexpr int kTxnsPerThread = 6;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        const std::string tag = std::to_string(t) + "-" + std::to_string(i);
+        auto txid = node.StartTransaction();
+        ASSERT_TRUE(txid.ok());
+        ASSERT_TRUE(node.Put(*txid, "a" + tag, "alpha-" + tag).ok());
+        ASSERT_TRUE(node.Put(*txid, "b" + tag, "beta-" + tag).ok());
+        ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  constexpr uint64_t kCommits = kThreads * kTxnsPerThread;
+  // Every packed commit went through the batcher, in fewer rounds.
+  EXPECT_EQ(led->Value() + followed->Value() - batched_before, kCommits);
+  EXPECT_LT(rounds->Value() - rounds_before, kCommits);
+  EXPECT_EQ(engine.List(kSegmentPrefix)->size(), kCommits);
+  EXPECT_TRUE(engine.List(kVersionPrefix)->empty());
+
+  // A cold reader resolves every value by ranged GET into the segments.
+  AftNode reader("packed-fuse-reader", engine, clock, FastNodeOptions());
+  ASSERT_TRUE(reader.Start().ok());
+  auto txid = reader.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kTxnsPerThread; ++i) {
+      const std::string tag = std::to_string(t) + "-" + std::to_string(i);
+      for (const std::string prefix : {"a", "b"}) {
+        auto read = reader.Get(*txid, prefix + tag);
+        ASSERT_TRUE(read.ok()) << read.status().ToString();
+        ASSERT_TRUE(read->has_value()) << prefix << tag;
+        EXPECT_EQ(**read, (prefix == "a" ? "alpha-" : "beta-") + tag);
+      }
+    }
+  }
+}
+
+TEST(CommitBatcherPackedLayout, FailedRoundRetriesOnAFreshSegment) {
+  TempDir dir;
+  RealClock clock(0.002);
+  auto engine = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(engine.ok());
+  AftNodeOptions options = FastNodeOptions();
+  options.packed_layout = true;
+  AftNode node("n0", **engine, clock, options);
+  ASSERT_TRUE(node.Start().ok());
+
+  // Fail the commit record only: the round lands its segment, then fails.
+  std::atomic<bool> fail{true};
+  (*engine)->SetWriteFailureInjector([&fail](std::string_view key) {
+    if (fail.load() && key.starts_with(kCommitPrefix)) {
+      return Status::Unavailable("injected record failure");
+    }
+    return Status::Ok();
+  });
+
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  ASSERT_TRUE(node.Put(*txid, "alpha", "first").ok());
+  ASSERT_TRUE(node.Put(*txid, "beta", "B").ok());
+  EXPECT_FALSE(node.CommitTransaction(*txid).ok());
+  auto segments = (*engine)->List(std::string(kSegmentPrefix));
+  ASSERT_TRUE(segments.ok());
+  ASSERT_EQ(segments->size(), 1u);
+  const std::string abandoned = segments->front();
+  EXPECT_TRUE((*engine)->List(std::string(kCommitPrefix))->empty());
+
+  // Still running: rewrite a key so the abandoned bytes no longer match,
+  // then retry with the fault cleared.
+  fail.store(false);
+  ASSERT_TRUE(node.Put(*txid, "alpha", "second, longer").ok());
+  auto commit_id = node.CommitTransaction(*txid);
+  ASSERT_TRUE(commit_id.ok()) << commit_id.status().ToString();
+
+  auto record_bytes = (*engine)->Get(CommitStorageKey(*commit_id));
+  ASSERT_TRUE(record_bytes.ok());
+  auto record = CommitRecord::Deserialize(*record_bytes);
+  ASSERT_TRUE(record.ok());
+  ASSERT_EQ(record->locators.size(), 2u);
+  for (const VersionLocator& locator : record->locators) {
+    EXPECT_NE(SegmentStorageKey(*txid, locator.segment_index), abandoned) << locator.key;
+  }
+
+  AftNode reader("reader", **engine, clock, FastNodeOptions());
+  ASSERT_TRUE(reader.Start().ok());
+  auto reader_txn = reader.StartTransaction();
+  ASSERT_TRUE(reader_txn.ok());
+  auto alpha = reader.Get(*reader_txn, "alpha");
+  auto beta = reader.Get(*reader_txn, "beta");
+  ASSERT_TRUE(alpha.ok());
+  ASSERT_TRUE(beta.ok());
+  ASSERT_TRUE(alpha->has_value());
+  ASSERT_TRUE(beta->has_value());
+  EXPECT_EQ(**alpha, "second, longer");
+  EXPECT_EQ(**beta, "B");
 }
 
 // ---- concurrency stress (TSan leg) ------------------------------------------

@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+#include <tuple>
+
 #include "src/cluster/deployment.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/workload/dataset.h"
 #include "src/workload/harness.h"
+#include "tests/crash_engine.h"
 
 namespace aft {
 namespace {
@@ -22,15 +30,31 @@ SimDynamoOptions InstantDynamo() {
   return options;
 }
 
+// Ground truth from storage: did `txid`'s commit record make it out?
+bool CommitRecordPersisted(StorageEngine& storage, const Uuid& txid) {
+  auto commit_keys = storage.List(kCommitPrefix);
+  EXPECT_TRUE(commit_keys.ok());
+  for (const auto& key : commit_keys.value()) {
+    if (TxnIdFromCommitStorageKey(key).uuid == txid) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Randomized crash-point property: for every transaction, either ALL of its
 // writes are visible after recovery or NONE are, and acked commits are
-// always visible. Parameterized over RNG seeds.
-class CrashRecoveryPropertyTest : public ::testing::TestWithParam<int> {};
+// always visible. The crash lands at the storage boundary of the default
+// commit path (tests/crash_engine.h). Parameterized over RNG seeds and the
+// data layout.
+class CrashRecoveryPropertyTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(CrashRecoveryPropertyTest, AckedAllOrNothingAlwaysHolds) {
+  const auto [seed, packed_layout] = GetParam();
   SimClock clock;
   SimDynamo storage(clock, InstantDynamo());
-  Rng rng(9000 + GetParam());
+  CrashEngine crashy_storage(storage);
+  Rng rng(9000 + seed);
 
   struct Outcome {
     std::string key_a;
@@ -47,11 +71,14 @@ TEST_P(CrashRecoveryPropertyTest, AckedAllOrNothingAlwaysHolds) {
     const int crash_roll = static_cast<int>(rng.Below(4));  // 3 points + no crash.
     AftNodeOptions options;
     options.service_cores = 0;
-    options.crash_hook = [crash_roll](CrashPoint point) {
-      return static_cast<int>(point) == crash_roll;
-    };
-    AftNode node("n" + std::to_string(i), storage, clock, options);
+    options.packed_layout = packed_layout;
+    AftNode node("n" + std::to_string(i), crashy_storage, clock, options);
     ASSERT_TRUE(node.Start().ok());
+    if (crash_roll < 3) {
+      crashy_storage.Arm(static_cast<CrashEngine::At>(crash_roll), [&node] { node.Kill(); });
+    } else {
+      crashy_storage.Disarm();
+    }
 
     Outcome outcome;
     outcome.key_a = "a" + std::to_string(i);
@@ -63,16 +90,7 @@ TEST_P(CrashRecoveryPropertyTest, AckedAllOrNothingAlwaysHolds) {
     ASSERT_TRUE(node.Put(*txid, outcome.key_b, outcome.value).ok());
     auto committed = node.CommitTransaction(*txid);
     outcome.acked = committed.ok();
-    // Ground truth from storage: did the commit record make it out?
-    auto commit_keys = storage.List(kCommitPrefix);
-    ASSERT_TRUE(commit_keys.ok());
-    outcome.commit_record_persisted = false;
-    for (const auto& key : commit_keys.value()) {
-      if (TxnIdFromCommitStorageKey(key).uuid == *txid) {
-        outcome.commit_record_persisted = true;
-        break;
-      }
-    }
+    outcome.commit_record_persisted = CommitRecordPersisted(storage, *txid);
     outcomes.push_back(outcome);
   }
 
@@ -103,7 +121,116 @@ TEST_P(CrashRecoveryPropertyTest, AckedAllOrNothingAlwaysHolds) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryPropertyTest, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryPropertyTest,
+                         ::testing::Combine(::testing::Range(0, 6), ::testing::Bool()));
+
+// The crash lands mid-round on the fused path: eight committers share
+// storage rounds and the node dies partway through one. The first committer
+// runs round 1 alone and is held at the storage boundary until the other
+// seven have queued behind it, so they fuse into round 2 — 7 x 2 version
+// writes, then 7 commit records — and the seeded kill lands inside it.
+// After recovery an acked commit is visible, and a commit is visible
+// exactly when its record was persisted, acked or not.
+class MidRoundCrashTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MidRoundCrashTest, AckedVisibleAndVisibleIffRecordPersisted) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  CrashEngine crashy_storage(storage);
+  AftNodeOptions options;
+  options.service_cores = 0;
+  const std::string node_id = "mid-round-" + std::to_string(GetParam());
+  AftNode node(node_id, crashy_storage, clock, options);
+  ASSERT_TRUE(node.Start().ok());
+
+  Rng rng(7000 + GetParam());
+  const auto at = static_cast<CrashEngine::At>(rng.Below(3));
+  // Round 1 writes 2 versions and 1 record; skip past them into round 2.
+  const int skip = at == CrashEngine::At::kVersionWrite ? 2 + static_cast<int>(rng.Below(14))
+                                                        : 1 + static_cast<int>(rng.Below(7));
+  crashy_storage.Arm(at, [&node] { node.Kill(); }, skip);
+
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  bool leader_held = false;
+  crashy_storage.SetWriteHook([&](const std::string&) {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    leader_held = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return gate_open; });
+  });
+
+  constexpr int kCommitters = 8;
+  struct Outcome {
+    Uuid txid;
+    bool acked = false;
+  };
+  std::vector<Outcome> outcomes(kCommitters);
+  std::atomic<int> committing{0};
+  auto committer = [&](int i) {
+    auto txid = node.StartTransaction();
+    ASSERT_TRUE(txid.ok());
+    outcomes[i].txid = *txid;
+    ASSERT_TRUE(node.Put(*txid, "a" + std::to_string(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(node.Put(*txid, "b" + std::to_string(i), "v" + std::to_string(i)).ok());
+    committing.fetch_add(1);
+    outcomes[i].acked = node.CommitTransaction(*txid).ok();
+  };
+
+  const auto rounds_before = obs::MetricsRegistry::Global().GetCounter(
+      "aft_commit_batch_rounds_total", "Batched commit rounds executed", {{"node", node_id}});
+  const uint64_t rounds_at_start = rounds_before->Value();
+  std::vector<std::thread> threads;
+  threads.emplace_back(committer, 0);
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return leader_held; });
+  }
+  for (int i = 1; i < kCommitters; ++i) {
+    threads.emplace_back(committer, i);
+  }
+  while (committing.load() < kCommitters) {
+    std::this_thread::yield();
+  }
+  // The last committers are microseconds from the queue; give them ample
+  // time to join it before round 1 completes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_TRUE(crashy_storage.crashed());
+  EXPECT_FALSE(node.alive());
+  EXPECT_LT(rounds_before->Value() - rounds_at_start, static_cast<uint64_t>(kCommitters))
+      << "committers never shared a round";
+
+  AftNodeOptions recovery_options;
+  recovery_options.service_cores = 0;
+  AftNode recovered("recovery-" + node_id, storage, clock, recovery_options);
+  ASSERT_TRUE(recovered.Start().ok());
+  for (int i = 0; i < kCommitters; ++i) {
+    const bool persisted = CommitRecordPersisted(storage, outcomes[i].txid);
+    auto txid = recovered.StartTransaction();
+    ASSERT_TRUE(txid.ok());
+    auto a = recovered.Get(*txid, "a" + std::to_string(i));
+    auto b = recovered.Get(*txid, "b" + std::to_string(i));
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    (void)recovered.AbortTransaction(*txid);
+    EXPECT_EQ(a->has_value(), b->has_value()) << "fractional execution exposed for " << i;
+    if (outcomes[i].acked) {
+      EXPECT_TRUE(a->has_value()) << "acked commit lost: " << i;
+    }
+    EXPECT_EQ(a->has_value(), persisted) << "committer " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MidRoundCrashTest, ::testing::Range(0, 6));
 
 // ---- Orphan collection ------------------------------------------------------------
 
@@ -114,12 +241,11 @@ TEST(OrphanSweepTest, OrphanedVersionsAreReapedAfterGrace) {
   options.num_nodes = 1;
   options.start_background_threads = false;
   options.fault_manager.orphan_grace = Millis(500);
-  // The dying node: crashes after writing data, before the commit record.
-  options.node_options.crash_hook = [](CrashPoint point) {
-    return point == CrashPoint::kAfterDataWrite;
-  };
-  ClusterDeployment cluster(storage, clock, options);
+  CrashEngine crashy_storage(storage);
+  ClusterDeployment cluster(crashy_storage, clock, options);
   ASSERT_TRUE(cluster.Start().ok());
+  // The dying node: crashes after writing data, before the commit record.
+  crashy_storage.Arm(CrashEngine::At::kRecordWrite, [&cluster] { cluster.node(0)->Kill(); });
 
   auto txid = cluster.node(0)->StartTransaction();
   ASSERT_TRUE(cluster.node(0)->Put(*txid, "torn", "x").ok());

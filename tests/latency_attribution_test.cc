@@ -9,7 +9,8 @@
 //     the simulated-cloud engine and the durable LocalEngine.
 //   * Coverage — every committed transaction observes every per-commit
 //     stage exactly once, with exactly one queue_wait_{leader,follower}
-//     by batch role (and none at all on the legacy unbatched path).
+//     by batch role (unbatched commits each lead their own round and wait
+//     zero).
 //   * Exactness — a thread that demonstrably blocked ~N ms on a named,
 //     fully-sampled Mutex shows ≥ ~N ms of wait at its site; with sampling
 //     off the same contention records nothing.
@@ -147,11 +148,13 @@ void CheckReconciliation(const std::string& node_id, uint64_t committed, bool ba
   EXPECT_EQ(stages.gossip_publish->Count(), committed);
   const uint64_t queue_waits =
       stages.queue_wait_leader->Count() + stages.queue_wait_follower->Count();
+  EXPECT_EQ(queue_waits, committed);
   if (batched) {
-    EXPECT_EQ(queue_waits, committed);
     EXPECT_GE(stages.queue_wait_leader->Count(), 1u);
   } else {
-    EXPECT_EQ(queue_waits, 0u);  // The legacy path never touches the batcher.
+    // Unbatched commits never join a queue: each leads its own round.
+    EXPECT_EQ(stages.queue_wait_leader->Count(), committed);
+    EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
   }
 
   const double stage_sum_s = stages.txn_lock_wait->Sum() + stages.queue_wait_leader->Sum() +
@@ -189,12 +192,12 @@ TEST(LatencyAttribution, ReconcilesBatchedSimEngine) {
 TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-legacy", engine, clock, FastNodeOptions(false));
+  AftNode node("attr-sim-unbatched", engine, clock, FastNodeOptions(false));
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-legacy", committed, /*batched=*/false);
+  CheckReconciliation("attr-sim-unbatched", committed, /*batched=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
@@ -215,12 +218,12 @@ TEST(LatencyAttribution, ReconcilesUnbatchedLocalEngine) {
   RealClock clock(0.002);
   auto engine = LocalEngine::Open(dir.path());
   ASSERT_TRUE(engine.ok());
-  AftNode node("attr-local-legacy", **engine, clock, FastNodeOptions(false));
+  AftNode node("attr-local-unbatched", **engine, clock, FastNodeOptions(false));
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/15);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-legacy", committed, /*batched=*/false);
+  CheckReconciliation("attr-local-unbatched", committed, /*batched=*/false);
 }
 
 // ---- contention profiler ----------------------------------------------------

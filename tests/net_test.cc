@@ -19,6 +19,7 @@
 #include "src/net/socket.h"
 #include "src/net/tcp_multicast_bus.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/crash_engine.h"
 
 namespace aft {
 namespace {
@@ -632,24 +633,19 @@ TEST_F(NetServiceTest, ClientReconnectsAfterServerRestart) {
 TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
   SimClock clock;
   SimDynamo storage(clock, InstantDynamo());
+  CrashEngine crashy_storage(storage);
 
-  AftServiceServer* server_hook = nullptr;
-  AftNodeOptions node_options;
-  // Crash AFTER the data write, BEFORE the commit record: the worst case for
-  // dirty reads. The hook also tears the TCP connection, exactly as a kill -9
-  // of the server process would.
-  node_options.crash_hook = [&server_hook](CrashPoint point) {
-    if (point == CrashPoint::kAfterDataWrite && server_hook != nullptr) {
-      server_hook->AbandonConnections();
-      return true;
-    }
-    return false;
-  };
-  AftNode node("aft-0", storage, clock, node_options);
+  AftNode node("aft-0", crashy_storage, clock);
   ASSERT_TRUE(node.Start().ok());
   AftServiceServer server(node);
   ASSERT_TRUE(server.Start().ok());
-  server_hook = &server;
+  // Crash AFTER the data write, BEFORE the commit record: the worst case for
+  // dirty reads. The crash also tears the TCP connection, exactly as a
+  // kill -9 of the server process would.
+  crashy_storage.Arm(CrashEngine::At::kRecordWrite, [&node, &server] {
+    server.AbandonConnections();
+    node.Kill();
+  });
 
   RemoteAftClientOptions options = FastClient();
   options.call_timeout = std::chrono::seconds(2);
@@ -664,7 +660,6 @@ TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
   // kUnavailable — NEVER a successful commit.
   ASSERT_FALSE(committed.ok());
   EXPECT_FALSE(node.alive());
-  server_hook = nullptr;
   server.Stop();
 
   // The data version reached storage (write-ordering step 1)...

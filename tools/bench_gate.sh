@@ -102,8 +102,9 @@ sed -nE 's/.*"row":"tput ([^"]*)".*"txn_per_s":([0-9.]+).*/\1\t\2/p' "$CURRENT" 
 # ---- commit-batching speedup -------------------------------------------------
 # Third gate, same within-run-ratio philosophy as the first: bench_net runs
 # the Zipfian hot-key RMW closed loop twice in the same process — commit
-# batching off ("unbatched": the legacy two-rounds-per-transaction protocol)
-# and on ("batched": fused CommitUnits rounds, src/core/commit_batcher.h) —
+# fusing off ("unbatched": every commit runs its own two-round CommitUnits
+# round) and on ("batched": concurrent commits share rounds,
+# src/core/commit_batcher.h) —
 # over the same bounded-pool simulated engine. The geomean of the per-client-
 # count batched/unbatched ops-per-sec ratios at >= MIN_CLIENTS must clear
 # MIN_SPEEDUP. A batcher that stops fusing (every round solo) pulls the ratio
