@@ -12,10 +12,13 @@
 //   AFT_BENCH_REQUESTS  per-client request count override (default per bench)
 //   AFT_BENCH_JSON      append one JSON line per measured row to this file
 //                       (consumed by tools/bench.sh to build BENCH_results.json)
+// A count knob (GetEnvLong) set to anything but a positive integer makes the
+// bench exit 2 with the variable's name.
 
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -69,14 +72,24 @@ inline double GetEnvDouble(const char* name, double fallback) {
   return fallback;
 }
 
+// A positive count from the environment, or `fallback` when `name` is unset
+// or empty. A value that is set but not a positive integer ("0", "abc",
+// "12x") is a mistake in the run's setup, not a request for the default: it
+// names the variable and exits 2 rather than silently measuring something
+// else.
 inline long GetEnvLong(const char* name, long fallback) {
-  if (const char* env = std::getenv(name); env != nullptr) {
-    const long v = std::atol(env);
-    if (v > 0) {
-      return v;
-    }
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') {
+    return fallback;
   }
-  return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(env, &end, 10);
+  if (errno != 0 || *end != '\0' || v <= 0) {
+    std::fprintf(stderr, "%s=\"%s\": expected a positive integer\n", name, env);
+    std::exit(2);
+  }
+  return v;
 }
 
 // Like GetEnvLong but an explicit "0" is a valid setting.

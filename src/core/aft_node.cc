@@ -21,6 +21,9 @@ namespace {
 // of times before giving up with kAborted.
 constexpr int kReadStabilizeAttempts = 8;
 
+// (uuid -> commit id) entries remembered for idempotent commit retries.
+constexpr size_t kCommittedUuidMemory = 65536;
+
 using StageClock = std::chrono::steady_clock;
 
 double StageSecondsSince(StageClock::time_point start) {
@@ -37,7 +40,7 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
       data_cache_(options_.data_cache_bytes),
       throttle_(clock, options_.service_cores,
                 options_.service_time.Scaled(storage.client_cpu_factor())),
-      batcher_(node_id_, storage, options_.enable_commit_batching,
+      batcher_(node_id_, storage,
                [this](std::span<CommitBatcher::Pending* const> committed) {
                  PublishCommittedRound(committed);
                }) {
@@ -771,10 +774,10 @@ void AftNode::FinishCommittedTransaction(const Uuid& txid, const TxnId& commit_i
     MutexLock lock(committed_mu_);
     committed_uuids_[txid] = commit_id;
     committed_order_.push_back(txid);
-    if (committed_order_.size() > options_.committed_uuid_memory) {
+    if (committed_order_.size() > kCommittedUuidMemory) {
       committed_uuids_.erase(committed_order_[committed_next_evict_]);
       ++committed_next_evict_;
-      if (committed_next_evict_ > options_.committed_uuid_memory) {
+      if (committed_next_evict_ > kCommittedUuidMemory) {
         committed_order_.erase(committed_order_.begin(),
                                committed_order_.begin() +
                                    static_cast<long>(committed_next_evict_));

@@ -82,19 +82,6 @@ struct AftNodeOptions {
   // HTTPS/JSON client burns more node CPU per op than Redis' RESP.
   size_t service_cores = 4;
   LatencyModel service_time = LatencyModel(0.5, 0.2, 0.15);
-
-  // How many (uuid -> commit id) entries to remember for idempotent commit
-  // retries.
-  size_t committed_uuid_memory = 65536;
-
-  // Commit queue policy (src/core/commit_batcher.h). Every commit runs
-  // through the batcher; this picks whether concurrent commits fuse into
-  // shared storage rounds — one merged data flush, one §3.3 barrier, one
-  // batched commit-record write, with per-transaction poisoning — or each
-  // run as their own round. A lone committer runs alone either way. Off is
-  // the unfused reference the bench gate's batched-vs-unbatched stage
-  // compares against.
-  bool enable_commit_batching = true;
 };
 
 // Point-in-time snapshot of one node's cumulative counters. The live values
@@ -324,7 +311,7 @@ class AftNode {
   std::vector<obs::TraceContext> pending_broadcast_traces_ GUARDED_BY(broadcast_mu_);
 
   // Runs every commit's storage round (queue policy: see
-  // enable_commit_batching). The listener is read lock-free on the commit
+  // src/core/commit_batcher.h). The listener is read lock-free on the commit
   // hot path: the flag is only ever set once, before traffic, so the
   // std::function itself is stable.
   CommitBatcher batcher_;

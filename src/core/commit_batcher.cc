@@ -1,6 +1,7 @@
 #include "src/core/commit_batcher.h"
 
 #include <chrono>
+#include <cstdint>
 #include <utility>
 
 #include "src/common/contention.h"
@@ -47,9 +48,9 @@ CommitStageHistograms CommitStageHistograms::ForNode(const std::string& node_id)
   return h;
 }
 
-CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage, bool fuse,
+CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage,
                              RoundPublisher publisher)
-    : node_id_(node_id), storage_(storage), fuse_(fuse), publisher_(std::move(publisher)) {
+    : node_id_(node_id), storage_(storage), publisher_(std::move(publisher)) {
   auto& reg = obs::MetricsRegistry::Global();
   const obs::MetricLabels labels = {{"node", node_id}};
   batch_size_ = reg.GetHistogram("aft_commit_batch_size", "Transactions fused per commit round",
@@ -67,22 +68,19 @@ CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage,
 
 Status CommitBatcher::Commit(Pending& pending) {
   Pending* const self = &pending;
-  if (!fuse_) {
-    // Never join a queue: this commit is its own round, run here.
-    ExecuteRound(std::span<Pending* const>(&self, 1), self);
-    leader_commits_->Increment();
-    return std::move(pending.result);
-  }
+  // K is read per commit: a pool may be bounded after the node is built.
+  const size_t pool = storage_.MaxConcurrentRequests();
+  const size_t max_rounds = pool == 0 ? SIZE_MAX : pool;
   MutexLock lock(mu_);
-  if (!round_in_flight_ && queue_.empty()) {
-    // Solo fast path: nobody to piggyback on and nobody ahead. Run the
-    // round alone without touching the queue, so a single writer pays
+  if (queue_.empty() && rounds_in_flight_ < max_rounds) {
+    // Solo fast path: a slot is free and nobody is ahead. Run the round
+    // alone without touching the queue, so a committer that could run pays
     // nothing for batching.
-    round_in_flight_ = true;
+    ++rounds_in_flight_;
     lock.Unlock();
     ExecuteRound(std::span<Pending* const>(&self, 1), self);
     lock.Lock();
-    round_in_flight_ = false;
+    --rounds_in_flight_;
     cv_.NotifyAll();
     leader_commits_->Increment();
     return std::move(pending.result);
@@ -96,16 +94,17 @@ Status CommitBatcher::Commit(Pending& pending) {
   }
   queue_.push_back(&pending);
   bool led = false;
-  // The drain loop: the first waiter to observe the latch free becomes the
-  // next round's leader and drains the WHOLE queue — the batch formed
-  // adaptively while the previous round was in flight.
+  // The drain loop: once a slot is free, the waiter at the head of the queue
+  // becomes the next round's leader and drains the WHOLE queue — the batch
+  // formed adaptively while all K rounds were busy. A waiter already drained
+  // into someone else's round is no longer queued; it waits for that round.
   // aftlint: hot
   while (!pending.done) {
-    if (round_in_flight_) {
+    if (queue_.empty() || queue_.front() != &pending || rounds_in_flight_ >= max_rounds) {
       cv_.Wait(lock);
       continue;
     }
-    round_in_flight_ = true;
+    ++rounds_in_flight_;
     SmallVector<Pending*, 16> members(std::move(queue_));
     lock.Unlock();
     ExecuteRound(std::span<Pending* const>(members.data(), members.size()), &pending);
@@ -113,7 +112,7 @@ Status CommitBatcher::Commit(Pending& pending) {
     for (Pending* member : members) {
       member->done = true;
     }
-    round_in_flight_ = false;
+    --rounds_in_flight_;
     cv_.NotifyAll();
     led = true;
   }

@@ -8,14 +8,14 @@
 // (latch-and-piggyback): the first committer through becomes the round
 // LEADER and executes the storage rounds for everyone queued behind it;
 // followers park on a condvar and wake with their verdict already decided.
-// Batches form adaptively — while a round is in flight new arrivals queue,
-// and whatever depth accumulated by round completion IS the next batch. No
-// timer, so a lone committer pays zero added latency: it runs a one-member
-// round without queueing (StorageEngine::CommitUnits' n==1 strategy).
-//
-// The queue policy is a switch: with fusing off, every commit runs its own
-// one-member round on the caller's thread and never touches the queue —
-// the same round code, the same storage sequence, no fusing.
+// Queue policy: at most K rounds run at once, where K is the engine's
+// request-pool size (StorageEngine::MaxConcurrentRequests, 0 = unbounded).
+// A committer that finds the queue empty and a slot free runs a one-member
+// round at once (StorageEngine::CommitUnits' n==1 strategy); one that finds
+// all K slots busy queues, and once a slot frees the queue's head drains
+// the whole queue into one round. Fusing is thus a response to a saturated
+// pool, never a tax on a committer that could have run: over an unbounded
+// engine nothing ever queues. No timer, so a lone committer pays nothing.
 //
 // Per-transaction semantics are preserved, not averaged: unit-level §3.3
 // ordering (a member's record is written only after ALL of that member's
@@ -81,10 +81,7 @@ class CommitBatcher {
   // one lock hold and nudges the gossip bus once for the whole round.
   using RoundPublisher = std::function<void(std::span<Pending* const> committed)>;
 
-  // `fuse` picks the queue policy: true joins concurrent committers into
-  // shared rounds, false runs every commit as its own round.
-  CommitBatcher(const std::string& node_id, StorageEngine& storage, bool fuse,
-                RoundPublisher publisher);
+  CommitBatcher(const std::string& node_id, StorageEngine& storage, RoundPublisher publisher);
 
   CommitBatcher(const CommitBatcher&) = delete;
   CommitBatcher& operator=(const CommitBatcher&) = delete;
@@ -121,13 +118,12 @@ class CommitBatcher {
 
   const std::string node_id_;
   StorageEngine& storage_;
-  const bool fuse_;
   const RoundPublisher publisher_;
 
   Mutex mu_{"batcher.queue"};
   CondVar cv_;
-  // True while a leader is off executing a round; arrivals queue behind it.
-  bool round_in_flight_ GUARDED_BY(mu_) = false;
+  // Rounds being executed right now; arrivals queue once it reaches K.
+  size_t rounds_in_flight_ GUARDED_BY(mu_) = 0;
   SmallVector<Pending*, 16> queue_ GUARDED_BY(mu_);
 
   // aft_commit_batch_* families (docs/OBSERVABILITY.md), labeled {node=}.

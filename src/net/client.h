@@ -38,9 +38,10 @@
 //     re-dialed transparently on the next attempt. Retry happens only on
 //     TRANSPORT errors (kUnavailable / kTimeout from the socket layer);
 //     semantic statuses from the server (kAborted, kNotFound, ...) pass
-//     through verbatim. All AFT ops are safe to retry: Commit is idempotent
-//     on the server (committed-UUID dedup) and a replayed StartTransaction
-//     merely starts an extra txn that times out server-side.
+//     through verbatim. A replayed StartTransaction starts an extra txn that
+//     times out server-side. Commit dedup (the committed-UUID map) holds
+//     only on the same live node: a node that dies between a durable commit
+//     record and the ack leaves a committed txn no retry can learn about.
 
 #ifndef SRC_NET_CLIENT_H_
 #define SRC_NET_CLIENT_H_

@@ -118,6 +118,9 @@ class LocalEngine final : public StorageEngine {
   std::string_view name() const override { return "local"; }
   bool SupportsBatchPut() const override { return true; }
   size_t MaxBatchSize() const override { return 1024; }
+  // One commit round at a time: fusing its queue into one append and fsync
+  // beats the WAL's group commit of concurrent rounds (bench_local_engine).
+  size_t MaxConcurrentRequests() const override { return 1; }
   const StorageCounters& counters() const override { return counters_; }
 
   // --- maintenance / test surface ---

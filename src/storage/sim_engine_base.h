@@ -56,12 +56,11 @@ class SimEngineBase : public StorageEngine {
   // Models the client SDK's bounded connection pool: at most `n` API calls
   // may be in flight against this engine simultaneously; extra callers
   // queue for a free slot, exactly like callers of a saturated HTTP
-  // connection pool. 0 (the default) = unbounded, which preserves the
-  // historical behaviour of every existing bench and test. A bounded pool
-  // is the shared resource that makes cross-transaction commit batching
-  // pay on the simulated engines: k concurrent transactions issuing one
-  // merged call pass the pool once instead of k times.
+  // connection pool. 0 (the default) = unbounded. The commit batcher runs
+  // at most `n` rounds at once and fuses the committers queued behind them:
+  // k transactions issuing one merged call pass the pool once, not k times.
   void SetMaxConcurrentRequests(size_t n);
+  size_t MaxConcurrentRequests() const override { return pool_limit_hint_.load(); }
 
   Result<std::string> Get(const std::string& key) override;
   // Native ranged read: charges the get latency for `length` bytes only.

@@ -175,6 +175,11 @@ class StorageEngine {
   // single-node throughput ceilings of §6.5.1.
   virtual double client_cpu_factor() const { return 1.0; }
 
+  // The client's request-pool size: API calls that may be in flight at once
+  // (0 = unbounded). The commit batcher runs at most this many rounds at
+  // once and fuses committers only while all of them are busy.
+  virtual size_t MaxConcurrentRequests() const { return 0; }
+
   virtual const StorageCounters& counters() const = 0;
 };
 

@@ -10,15 +10,20 @@
 //     stay readable.
 //   * Fusion — a multi-unit round on the local engine rides ONE batched API
 //     call and ONE group-committed fsync.
-//   * Equivalence — a fused node commit is observably identical to an
-//     unfused one, including after crash-recovery replay, and a failed
-//     round leaves the transaction retryable.
+//   * Queue policy — at most K rounds (the engine's request-pool size) run
+//     at once, and a committer that finds a slot free runs at once instead
+//     of queueing.
+//   * Equivalence — commits fused over a bounded pool are observably
+//     identical to the never-queued commits over an unbounded engine,
+//     including after crash-recovery replay, and a failed round leaves the
+//     transaction retryable.
 //   * Packed layout — segment commits fuse like key-per-version ones, and
 //     a failed packed round never leaves a locator into its segment.
 // The TSan stress at the bottom drives concurrent committers through the
 // batcher under fault injection (run under -DAFT_SANITIZE=thread in CI).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -33,9 +38,11 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/core/aft_node.h"
+#include "src/core/commit_batcher.h"
 #include "src/core/records.h"
 #include "src/storage/local_engine.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/pool_view_engine.h"
 
 namespace aft {
 namespace {
@@ -108,6 +115,12 @@ AftNodeOptions FastNodeOptions() {
   AftNodeOptions options;
   options.service_cores = 0;  // No service-time throttling in tests.
   return options;
+}
+
+obs::Counter* FollowerCommits(const std::string& node_id) {
+  return obs::MetricsRegistry::Global().GetCounter(
+      "aft_commit_batch_commits_total", "Commits by batch role (follower piggybacked)",
+      {{"node", node_id}, {"role", "follower"}});
 }
 
 // ---- storage-level contract -------------------------------------------------
@@ -248,41 +261,58 @@ TEST(CommitUnitsDefaultImpl, TwoRoundFallbackPreservesPerUnitOutcomes) {
 
 // ---- node-level contract ----------------------------------------------------
 
-TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
-  // The same workload through a fusing and a non-fusing node must leave
-  // equivalent committed state, including after a reopen/replay cycle.
-  for (const bool batching : {true, false}) {
+TEST(CommitBatcherNode, BoundedPoolCommitEquivalentToUnboundedAfterReplay) {
+  // The same concurrent workload through a node whose engine reports a pool
+  // of one (the local engine's own; committers fuse whenever a round is in
+  // flight) and one whose engine is unbounded (nothing ever queues) must
+  // leave equivalent committed state, including after a reopen/replay cycle.
+  constexpr int kThreads = 6;
+  constexpr int kTxnsPerThread = 5;
+  for (const size_t pool : {size_t{1}, size_t{0}}) {
     TempDir dir;
     RealClock clock(0.002);
     {
       auto engine = LocalEngine::Open(dir.path());
       ASSERT_TRUE(engine.ok());
-      AftNodeOptions options = FastNodeOptions();
-      options.enable_commit_batching = batching;
-      AftNode node("n0", **engine, clock, options);
+      PoolViewEngine view(**engine, pool);
+      AftNode node("n0", view, clock, FastNodeOptions());
       ASSERT_TRUE(node.Start().ok());
-      for (int t = 0; t < 10; ++t) {
-        auto txid = node.StartTransaction();
-        ASSERT_TRUE(txid.ok());
-        ASSERT_TRUE(node.Put(*txid, "k" + std::to_string(t % 3), "v" + std::to_string(t)).ok());
-        ASSERT_TRUE(node.Put(*txid, "shared", "round-" + std::to_string(t)).ok());
-        ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          for (int i = 0; i < kTxnsPerThread; ++i) {
+            auto txid = node.StartTransaction();
+            ASSERT_TRUE(txid.ok());
+            const std::string value = std::to_string(t) + ":" + std::to_string(i);
+            ASSERT_TRUE(node.Put(*txid, "own-" + std::to_string(t), value).ok());
+            ASSERT_TRUE(node.Put(*txid, "shared", value).ok());
+            ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+          }
+        });
       }
+      for (std::thread& t : threads) {
+        t.join();
+      }
+      EXPECT_LE(view.max_overlap(), pool == 0 ? size_t{kThreads} : pool);
     }
     auto reopened = LocalEngine::Open(dir.path());
     ASSERT_TRUE(reopened.ok());
+    auto commits = (*reopened)->List(std::string(kCommitPrefix));
+    ASSERT_TRUE(commits.ok());
+    EXPECT_EQ(commits->size(), static_cast<size_t>(kThreads * kTxnsPerThread)) << "pool=" << pool;
     AftNode reader("reader", **reopened, clock, FastNodeOptions());
     ASSERT_TRUE(reader.Start().ok());
     auto txid = reader.StartTransaction();
     ASSERT_TRUE(txid.ok());
+    for (int t = 0; t < kThreads; ++t) {
+      auto own = reader.Get(*txid, "own-" + std::to_string(t));
+      ASSERT_TRUE(own.ok()) << "pool=" << pool;
+      ASSERT_TRUE(own->has_value());
+      EXPECT_EQ(**own, std::to_string(t) + ":" + std::to_string(kTxnsPerThread - 1));
+    }
     auto shared = reader.Get(*txid, "shared");
-    ASSERT_TRUE(shared.ok()) << "batching=" << batching;
-    ASSERT_TRUE(shared->has_value());
-    EXPECT_EQ(**shared, "round-9");
-    auto k2 = reader.Get(*txid, "k2");
-    ASSERT_TRUE(k2.ok());
-    ASSERT_TRUE(k2->has_value());
-    EXPECT_EQ(**k2, "v8");
+    ASSERT_TRUE(shared.ok());
+    EXPECT_TRUE(shared->has_value());
   }
 }
 
@@ -326,7 +356,9 @@ TEST(CommitBatcherNode, FailedRoundLeavesTransactionRetryable) {
 TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
   // Concurrent committers where exactly one member's data write fails: the
   // poisoned transaction aborts with no commit record; every batch-mate
-  // commits and its data survives a replay cycle.
+  // commits and its data survives a replay cycle. The local engine runs one
+  // round at a time, so every committer that arrives mid-round is a
+  // batch-mate.
   TempDir dir;
   RealClock clock(0.002);
   std::map<std::string, std::string> state_before_reopen;
@@ -392,6 +424,85 @@ TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
       ASSERT_TRUE(read->has_value()) << i;
       EXPECT_EQ(**read, "value-" + std::to_string(i));
     }
+  }
+}
+
+// ---- queue policy ------------------------------------------------------------
+
+TEST(CommitBatcherQueuePolicy, AtMostKRoundsOverlapAndAFreeSlotNeverQueues) {
+  RealClock clock(0.002);
+  SimDynamo engine(clock, InstantDynamoOptions());
+  constexpr size_t kPool = 2;
+  PoolViewEngine view(engine, kPool);
+  const std::string node_id = "queue-policy";
+  AftNode node(node_id, view, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+  const CommitStageHistograms stages = CommitStageHistograms::ForNode(node_id);
+  obs::Counter* followers = FollowerCommits(node_id);
+
+  auto commit = [&node](const std::string& key) {
+    auto txid = node.StartTransaction();
+    ASSERT_TRUE(txid.ok());
+    ASSERT_TRUE(node.Put(*txid, key, "v-" + key).ok());
+    EXPECT_TRUE(node.CommitTransaction(*txid).ok()) << key;
+  };
+
+  // One round held open: K - 1 slots busy. A committer arriving now runs
+  // its own round at once — it completes while the held round is still in
+  // flight, as the leader of a round it never queued for.
+  view.Hold(1);
+  std::vector<std::thread> threads;
+  threads.emplace_back(commit, "held-0");
+  view.AwaitInFlight(1);
+  const uint64_t leaders_before = stages.queue_wait_leader->Count();
+  const double leader_wait_before = stages.queue_wait_leader->Sum();
+  const uint64_t followers_before = followers->Value();
+  commit("free-slot");
+  EXPECT_EQ(stages.queue_wait_leader->Count() - leaders_before, 1u);
+  EXPECT_EQ(stages.queue_wait_leader->Sum(), leader_wait_before);
+  EXPECT_EQ(followers->Value(), followers_before);
+
+  // Fill the second slot, then pile committers up behind the full pool:
+  // they queue, and once a slot frees one of them drains them all into one
+  // round.
+  view.Hold(1);
+  threads.emplace_back(commit, "held-1");
+  view.AwaitInFlight(kPool);
+  constexpr int kQueued = 4;
+  for (int i = 0; i < kQueued; ++i) {
+    threads.emplace_back(commit, "queued-" + std::to_string(i));
+  }
+  // The queued committers are microseconds from the queue; give them ample
+  // time to join it before the held rounds complete.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  view.Release();
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(view.max_overlap(), kPool);
+  EXPECT_GT(followers->Value(), followers_before);
+
+  // Free-running committers never push more than K rounds into the engine.
+  threads.clear();
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 20; ++i) {
+        commit("free-" + std::to_string(t) + "-" + std::to_string(i));
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_LE(view.max_overlap(), kPool);
+
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  for (const std::string key : {"held-0", "held-1", "free-slot", "queued-3", "free-7-19"}) {
+    auto read = node.Get(*txid, key);
+    ASSERT_TRUE(read.ok());
+    ASSERT_TRUE(read->has_value()) << key;
+    EXPECT_EQ(**read, "v-" + key);
   }
 }
 
@@ -529,15 +640,22 @@ TEST(CommitBatcherPackedLayout, FailedRoundRetriesOnAFreshSegment) {
 
 TEST(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
   // Many committers race through the batcher against an engine that fails
-  // writes at random; every failure is retried until it lands. Exercises
-  // solo / leader / follower paths, leadership handoff, and per-member
-  // poisoning concurrently. Run under TSan in CI.
+  // writes at random; every failure is retried until it lands. A pool of two
+  // with a 100 µs write keeps both round slots busy, so this exercises solo /
+  // leader / follower paths, leadership handoff between concurrent rounds,
+  // and per-member poisoning concurrently. Run under TSan in CI.
   RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
+  SimDynamoOptions options = InstantDynamoOptions();
+  options.profile.put = LatencyModel(50, 0);  // 50 simulated ms = 100 µs wall.
+  options.profile.batch_base = LatencyModel(50, 0);
+  SimDynamo engine(clock, options);
+  engine.SetMaxConcurrentRequests(2);
   engine.InjectTransientFaults(0.05);
 
-  AftNode node("n0", engine, clock, FastNodeOptions());
+  const std::string node_id = "stress";
+  AftNode node(node_id, engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
+  const uint64_t followers_before = FollowerCommits(node_id)->Value();
 
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 25;
@@ -566,6 +684,8 @@ TEST(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
     t.join();
   }
   EXPECT_EQ(total_committed.load(), kThreads * kTxnsPerThread);
+  EXPECT_GT(FollowerCommits(node_id)->Value() - followers_before, 0u)
+      << "no committer ever fused into another's round";
 
   engine.InjectTransientFaults(0.0);
   auto txid = node.StartTransaction();

@@ -149,6 +149,7 @@ class CrashEngine final : public StorageEngine {
   bool SupportsBatchPut() const override { return inner_.SupportsBatchPut(); }
   size_t MaxBatchSize() const override { return inner_.MaxBatchSize(); }
   double client_cpu_factor() const override { return inner_.client_cpu_factor(); }
+  size_t MaxConcurrentRequests() const override { return inner_.MaxConcurrentRequests(); }
   const StorageCounters& counters() const override { return inner_.counters(); }
 
  private:

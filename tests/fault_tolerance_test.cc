@@ -125,10 +125,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryPropertyTest,
                          ::testing::Combine(::testing::Range(0, 6), ::testing::Bool()));
 
 // The crash lands mid-round on the fused path: eight committers share
-// storage rounds and the node dies partway through one. The first committer
-// runs round 1 alone and is held at the storage boundary until the other
-// seven have queued behind it, so they fuse into round 2 — 7 x 2 version
-// writes, then 7 commit records — and the seeded kill lands inside it.
+// storage rounds and the node dies partway through one. The engine's pool
+// of one request lets one round run at a time. The first committer runs
+// round 1 alone and is held at the storage boundary until the other seven
+// have queued behind it, so they fuse into round 2 — 7 x 2 version writes,
+// then 7 commit records — and the seeded kill lands inside it.
 // After recovery an acked commit is visible, and a commit is visible
 // exactly when its record was persisted, acked or not.
 class MidRoundCrashTest : public ::testing::TestWithParam<int> {};
@@ -136,6 +137,7 @@ class MidRoundCrashTest : public ::testing::TestWithParam<int> {};
 TEST_P(MidRoundCrashTest, AckedVisibleAndVisibleIffRecordPersisted) {
   SimClock clock;
   SimDynamo storage(clock, InstantDynamo());
+  storage.SetMaxConcurrentRequests(1);
   CrashEngine crashy_storage(storage);
   AftNodeOptions options;
   options.service_cores = 0;

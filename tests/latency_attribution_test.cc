@@ -5,12 +5,13 @@
 //   * Reconciliation — the per-stage commit decomposition is a set of
 //     DISJOINT, nested slices of the end-to-end commit, so across any run
 //     the stage sums total at most the aft_node_commit_latency_ms sum.
-//     Holds on the solo fast path AND under batched concurrency, on both
-//     the simulated-cloud engine and the durable LocalEngine.
+//     Holds on the solo fast path AND under batched concurrency (a bounded
+//     request pool), on both the simulated-cloud engine and the durable
+//     LocalEngine.
 //   * Coverage — every committed transaction observes every per-commit
 //     stage exactly once, with exactly one queue_wait_{leader,follower}
-//     by batch role (unbatched commits each lead their own round and wait
-//     zero).
+//     by batch role (over an unbounded engine nothing queues: every commit
+//     leads its own round and waits zero).
 //   * Exactness — a thread that demonstrably blocked ~N ms on a named,
 //     fully-sampled Mutex shows ≥ ~N ms of wait at its site; with sampling
 //     off the same contention records nothing.
@@ -36,6 +37,7 @@
 #include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/pool_view_engine.h"
 
 namespace aft {
 namespace {
@@ -71,10 +73,18 @@ SimDynamoOptions InstantDynamoOptions() {
   return options;
 }
 
-AftNodeOptions FastNodeOptions(bool batching) {
+// A 100 µs write (50 simulated ms at the tests' 0.002 scale) keeps rounds in
+// flight long enough that committers pile up behind a bounded pool.
+SimDynamoOptions SlowWriteDynamoOptions() {
+  SimDynamoOptions options = InstantDynamoOptions();
+  options.profile.put = LatencyModel(50, 0);
+  options.profile.batch_base = LatencyModel(50, 0);
+  return options;
+}
+
+AftNodeOptions FastNodeOptions() {
   AftNodeOptions options;
   options.service_cores = 0;
-  options.enable_commit_batching = batching;
   return options;
 }
 
@@ -132,7 +142,7 @@ uint64_t RunCommits(AftNode& node, int threads, int txns_per_thread) {
 // per-commit stages are disjoint slices of the commit_latency_ms window, so
 // their sums cannot exceed the end-to-end sum. 5% + 2ms of slack absorbs
 // float accumulation and the ms→s unit hop, NOT any structural overlap.
-void CheckReconciliation(const std::string& node_id, uint64_t committed, bool batched) {
+void CheckReconciliation(const std::string& node_id, uint64_t committed, bool bounded_pool) {
   auto& reg = obs::MetricsRegistry::Global();
   CommitStageHistograms stages = CommitStageHistograms::ForNode(node_id);
   obs::Histogram* e2e =
@@ -149,10 +159,18 @@ void CheckReconciliation(const std::string& node_id, uint64_t committed, bool ba
   const uint64_t queue_waits =
       stages.queue_wait_leader->Count() + stages.queue_wait_follower->Count();
   EXPECT_EQ(queue_waits, committed);
-  if (batched) {
+  if (bounded_pool) {
     EXPECT_GE(stages.queue_wait_leader->Count(), 1u);
+    const uint64_t followers =
+        reg.GetCounter("aft_commit_batch_commits_total",
+                       "Commits by batch role (follower piggybacked)",
+                       {{"node", node_id}, {"role", "follower"}})
+            ->Value();
+    EXPECT_GT(followers, 0u) << "no committer fused into another's round";
+    EXPECT_EQ(stages.queue_wait_follower->Count(), followers);
   } else {
-    // Unbatched commits never join a queue: each leads its own round.
+    // Over an unbounded engine nobody joins a queue: each leads its own
+    // round.
     EXPECT_EQ(stages.queue_wait_leader->Count(), committed);
     EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
   }
@@ -170,34 +188,35 @@ void CheckReconciliation(const std::string& node_id, uint64_t committed, bool ba
 TEST(LatencyAttribution, ReconcilesSoloSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-solo", engine, clock, FastNodeOptions(true));
+  AftNode node("attr-sim-solo", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/1, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-solo", committed, /*batched=*/true);
+  CheckReconciliation("attr-sim-solo", committed, /*bounded_pool=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedSimEngine) {
   RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-batched", engine, clock, FastNodeOptions(true));
+  SimDynamo engine(clock, SlowWriteDynamoOptions());
+  engine.SetMaxConcurrentRequests(2);
+  AftNode node("attr-sim-batched", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-batched", committed, /*batched=*/true);
+  CheckReconciliation("attr-sim-batched", committed, /*bounded_pool=*/true);
 }
 
-TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
+TEST(LatencyAttribution, ReconcilesUnboundedSimEngine) {
   RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-unbatched", engine, clock, FastNodeOptions(false));
+  SimDynamo engine(clock, SlowWriteDynamoOptions());
+  AftNode node("attr-sim-unbounded", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-unbatched", committed, /*batched=*/false);
+  CheckReconciliation("attr-sim-unbounded", committed, /*bounded_pool=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
@@ -205,25 +224,28 @@ TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
   RealClock clock(0.002);
   auto engine = LocalEngine::Open(dir.path());
   ASSERT_TRUE(engine.ok());
-  AftNode node("attr-local-batched", **engine, clock, FastNodeOptions(true));
+  // The WAL engine runs one round at a time, so concurrent committers fuse
+  // into shared WAL rounds.
+  AftNode node("attr-local-batched", **engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-batched", committed, /*batched=*/true);
+  CheckReconciliation("attr-local-batched", committed, /*bounded_pool=*/true);
 }
 
-TEST(LatencyAttribution, ReconcilesUnbatchedLocalEngine) {
+TEST(LatencyAttribution, ReconcilesUnboundedLocalEngine) {
   TempDir dir;
   RealClock clock(0.002);
   auto engine = LocalEngine::Open(dir.path());
   ASSERT_TRUE(engine.ok());
-  AftNode node("attr-local-unbatched", **engine, clock, FastNodeOptions(false));
+  PoolViewEngine unbounded(**engine, 0);
+  AftNode node("attr-local-unbounded", unbounded, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/15);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-unbatched", committed, /*batched=*/false);
+  CheckReconciliation("attr-local-unbounded", committed, /*bounded_pool=*/false);
 }
 
 // ---- contention profiler ----------------------------------------------------

@@ -34,6 +34,13 @@
 # the ceiling holds the line just above the measured value so a single
 # reintroduced per-commit allocation fails visibly.
 #
+# A fifth, within-run gate holds the paper's headline cost figure
+# (bench_fig3_end_to_end): AFT's p50 over Plain's on the same engine in the
+# same run, at most 1.35x on S3 and Redis and 1.25x on DynamoDB. It counts
+# only engine pairs where both rows completed >= MIN_FIG3_TXNS (env, default
+# 200) transactions; a --smoke run completes far fewer, so each such pair
+# prints an explicit SKIP line instead of passing.
+#
 # Usage: tools/bench_gate.sh CURRENT.json [MIN_SPEEDUP] [MIN_CLIENTS] [MAX_ALLOCS]
 #
 #   MIN_SPEEDUP   geomean (pipelined / baseline) ops-per-sec floor,
@@ -101,11 +108,11 @@ sed -nE 's/.*"row":"tput ([^"]*)".*"txn_per_s":([0-9.]+).*/\1\t\2/p' "$CURRENT" 
 
 # ---- commit-batching speedup -------------------------------------------------
 # Third gate, same within-run-ratio philosophy as the first: bench_net runs
-# the Zipfian hot-key RMW closed loop twice in the same process — commit
-# fusing off ("unbatched": every commit runs its own two-round CommitUnits
-# round) and on ("batched": concurrent commits share rounds,
-# src/core/commit_batcher.h) —
-# over the same bounded-pool simulated engine. The geomean of the per-client-
+# the Zipfian hot-key RMW closed loop twice in the same process over the
+# same pool-4 simulated engine — once through a view of it that reports an
+# unbounded pool ("unbatched": every commit runs its own two-round
+# CommitUnits round) and once directly ("batched": once 4 rounds are in
+# flight, concurrent commits share rounds, src/core/commit_batcher.h). The geomean of the per-client-
 # count batched/unbatched ops-per-sec ratios at >= MIN_CLIENTS must clear
 # MIN_SPEEDUP. A batcher that stops fusing (every round solo) pulls the ratio
 # to ~1.0x; the healthy batcher sits near 2x at 16 clients. Zero row pairs is
@@ -200,3 +207,57 @@ for row in "inproc commit" "local commit"; do
     }
   '
 done
+
+# ---- fig3 AFT-over-Plain p50 -------------------------------------------------
+# The paper prices AFT as its latency over talking to storage directly
+# (Figure 3): +23% on S3, ~0% on DynamoDB, +18% on Redis. bench_fig3 runs
+# Plain and AFT on each engine in one process, so AFT p50 / Plain p50 is a
+# within-run ratio like gates 1-3. The bounds leave room over the paper's
+# figures for the simulator's spread. A pair with fewer than MIN_FIG3_TXNS
+# completed transactions on either side is too small for a stable median:
+# it prints SKIP with its count and is not gated. No fig3 row pair at all is
+# an error, as above.
+MIN_FIG3_TXNS="${MIN_FIG3_TXNS:-200}"
+sed -nE 's/.*"bench":"fig3_end_to_end","row":"(S3|DynamoDB|Redis) (Plain|Aft)".*"p50_ms":([0-9.]+).*"completed":([0-9]+).*/\1\t\2\t\3\t\4/p' "$CURRENT" \
+  | awk -F '\t' -v min_txns="$MIN_FIG3_TXNS" '
+  {
+    # Several appended runs may repeat a row; last one wins, as in gate 1.
+    if ($2 == "Plain") { plain[$1] = $3 + 0; plain_n[$1] = $4 + 0 }
+    else               { aft[$1] = $3 + 0;   aft_n[$1] = $4 + 0 }
+  }
+  END {
+    bound["S3"] = 1.35; bound["DynamoDB"] = 1.25; bound["Redis"] = 1.35;
+    split("S3 DynamoDB Redis", engines, " ");
+    for (i = 1; i <= 3; i++) {
+      e = engines[i];
+      if (!(e in plain) || !(e in aft) || plain[e] <= 0) { continue }
+      pairs++;
+      n = plain_n[e] < aft_n[e] ? plain_n[e] : aft_n[e];
+      if (n < min_txns) {
+        printf "SKIP    fig3/%-8s (n=%d < %d completed txns) AFT/Plain p50 not gated\n", e, n, min_txns;
+        continue;
+      }
+      gated++;
+      ratio = aft[e] / plain[e];
+      if (ratio > bound[e]) { failed++ }
+      printf "%-7s fig3/%-8s %8.2f -> %8.2f ms p50  (AFT/Plain x%.2f, bound x%.2f, n=%d)\n",
+             (ratio > bound[e] ? "slow" : "ok"), e, plain[e], aft[e], ratio, bound[e], n;
+    }
+    if (pairs == 0) {
+      print "bench_gate: no fig3_end_to_end Plain/Aft row pairs found" > "/dev/stderr";
+      exit 1;
+    }
+    if (failed > 0) {
+      printf "bench_gate: FAIL — AFT/Plain p50 above its bound on %d of %d fig3 engines\n",
+             failed, gated > "/dev/stderr";
+      exit 1;
+    }
+    if (gated == 0) {
+      printf "bench_gate: SKIP — fig3 AFT/Plain p50: no engine pair has >= %d completed txns\n",
+             min_txns;
+      exit 0;
+    }
+    printf "bench_gate: PASS — fig3 AFT/Plain p50 within bounds on %d engines (%d skipped)\n",
+           gated, pairs - gated;
+  }
+'
