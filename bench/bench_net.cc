@@ -28,10 +28,8 @@
 #include <cmath>
 #include <ctime>
 #include <random>
-#include <span>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 // Count heap allocations on the measuring thread (allocs/txn columns).
@@ -43,6 +41,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/pool_view_engine.h"
 
 namespace aft {
 namespace {
@@ -370,58 +369,14 @@ void RunConnectionSweep(AftNode& node, double seconds) {
 // transaction on the pool while the batcher fuses every queued committer
 // into one shared round. The batcher reads its round limit K from the
 // engine's pool size, so "batched" runs on the pool-4 engine itself (K = 4)
-// and "unbatched" on an UnboundedView of the same engine (K = unbounded:
-// every commit runs its own round); both see identical pool pressure.
+// and "unbatched" on a PoolViewEngine of the same engine that reports K = 0
+// (unbounded: every commit runs its own round); both see identical pool
+// pressure.
 // Workload is a contended read-modify-write — each op reads a Zipfian-hot
 // key, overwrites it, commits — the serverless counter/session pattern the
 // paper's Figure 7 stresses. Rows are named "tput zipf batched|unbatched
 // <N>c" for the bench_gate stage-3 ratio; stage 1 skips them (no "baseline"
 // config to pair with).
-
-// Forwards every call to `inner` but reports an unbounded request pool, so
-// the commit batcher never queues over it.
-class UnboundedView final : public StorageEngine {
- public:
-  explicit UnboundedView(StorageEngine& inner) : inner_(inner) {}
-
-  size_t MaxConcurrentRequests() const override { return 0; }
-
-  Result<std::string> Get(const std::string& key) override { return inner_.Get(key); }
-  Result<std::string> GetRange(const std::string& key, uint64_t offset,
-                               uint64_t length) override {
-    return inner_.GetRange(key, offset, length);
-  }
-  std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override {
-    return inner_.MultiGet(keys);
-  }
-  Status Put(std::string key, std::string value) override {
-    return inner_.Put(std::move(key), std::move(value));
-  }
-  Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
-  Status BatchPutConsume(std::span<WriteOp> ops) override { return inner_.BatchPutConsume(ops); }
-  void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) override {
-    inner_.BatchPutEach(ops, statuses);
-  }
-  void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
-                   CommitStageProfile* profile = nullptr) override {
-    inner_.CommitUnits(units, results, profile);
-  }
-  Status Delete(const std::string& key) override { return inner_.Delete(key); }
-  Status BatchDelete(std::span<const std::string> keys) override {
-    return inner_.BatchDelete(keys);
-  }
-  Result<std::vector<std::string>> List(const std::string& prefix) override {
-    return inner_.List(prefix);
-  }
-  std::string_view name() const override { return inner_.name(); }
-  bool SupportsBatchPut() const override { return inner_.SupportsBatchPut(); }
-  size_t MaxBatchSize() const override { return inner_.MaxBatchSize(); }
-  double client_cpu_factor() const override { return inner_.client_cpu_factor(); }
-  const StorageCounters& counters() const override { return inner_.counters(); }
-
- private:
-  StorageEngine& inner_;
-};
 
 // Inverse-CDF Zipfian sampler over `n` key ranks; rank 0 is the hottest.
 class ZipfianKeys {
@@ -453,7 +408,7 @@ void RunCommitBatchingConfig(bool batching, size_t clients, long ops_per_client,
   // initial state and identical pool pressure.
   SimDynamo storage(BenchClock(), SimDynamoOptions{});
   storage.SetMaxConcurrentRequests(pool_slots);
-  UnboundedView unbounded(storage);
+  PoolViewEngine unbounded(storage, /*max_concurrent_requests=*/0);
   AftNodeOptions node_options;
   node_options.service_cores = 0;  // Measure protocol rounds, not simulated CPU.
   AftNode node("bench-batch", batching ? static_cast<StorageEngine&>(storage) : unbounded,

@@ -22,6 +22,7 @@
 // The TSan stress at the bottom drives concurrent committers through the
 // batcher under fault injection (run under -DAFT_SANITIZE=thread in CI).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -310,9 +311,17 @@ TEST(CommitBatcherNode, BoundedPoolCommitEquivalentToUnboundedAfterReplay) {
       ASSERT_TRUE(own->has_value());
       EXPECT_EQ(**own, std::to_string(t) + ":" + std::to_string(kTxnsPerThread - 1));
     }
+    // Each thread commits its writes in order, so the newest write to
+    // "shared" is some thread's last one; a lost or stale write is not.
     auto shared = reader.Get(*txid, "shared");
     ASSERT_TRUE(shared.ok());
-    EXPECT_TRUE(shared->has_value());
+    ASSERT_TRUE(shared->has_value());
+    std::vector<std::string> last_writes;
+    for (int t = 0; t < kThreads; ++t) {
+      last_writes.push_back(std::to_string(t) + ":" + std::to_string(kTxnsPerThread - 1));
+    }
+    EXPECT_NE(std::find(last_writes.begin(), last_writes.end(), **shared), last_writes.end())
+        << "pool=" << pool << " shared=" << **shared;
   }
 }
 

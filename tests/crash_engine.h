@@ -19,7 +19,7 @@
 // next Arm — a dead process issues nothing more, including the rest of the
 // round it was executing. Reads, lists and deletes pass through, so other
 // actors sharing the storage (a fault manager, a recovering node) keep
-// working.
+// working. Every other call forwards to the wrapped engine.
 
 #ifndef TESTS_CRASH_ENGINE_H_
 #define TESTS_CRASH_ENGINE_H_
@@ -29,18 +29,18 @@
 #include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/core/records.h"
 #include "src/storage/storage_engine.h"
+#include "tests/forwarding_engine.h"
 
 namespace aft {
 
-class CrashEngine final : public StorageEngine {
+class CrashEngine final : public ForwardingEngine {
  public:
   enum class At { kVersionWrite, kRecordWrite, kAfterRecordWrite };
 
-  explicit CrashEngine(StorageEngine& inner) : inner_(inner) {}
+  explicit CrashEngine(StorageEngine& inner) : ForwardingEngine(inner) {}
 
   // Arms one crash: the (skip+1)-th write of the kind `at` names runs
   // `crash`. Re-arming revives the write path.
@@ -130,30 +130,14 @@ class CrashEngine final : public StorageEngine {
     }
   }
 
-  Result<std::string> Get(const std::string& key) override { return inner_.Get(key); }
-  Result<std::string> GetRange(const std::string& key, uint64_t offset,
-                               uint64_t length) override {
-    return inner_.GetRange(key, offset, length);
+  // The default two-round sequence over this engine's own write methods,
+  // not the inner engine's CommitUnits, so every write of a round passes Put.
+  void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
+                   CommitStageProfile* profile = nullptr) override {
+    StorageEngine::CommitUnits(units, results, profile);
   }
-  std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override {
-    return inner_.MultiGet(keys);
-  }
-  Status Delete(const std::string& key) override { return inner_.Delete(key); }
-  Status BatchDelete(std::span<const std::string> keys) override {
-    return inner_.BatchDelete(keys);
-  }
-  Result<std::vector<std::string>> List(const std::string& prefix) override {
-    return inner_.List(prefix);
-  }
-  std::string_view name() const override { return inner_.name(); }
-  bool SupportsBatchPut() const override { return inner_.SupportsBatchPut(); }
-  size_t MaxBatchSize() const override { return inner_.MaxBatchSize(); }
-  double client_cpu_factor() const override { return inner_.client_cpu_factor(); }
-  size_t MaxConcurrentRequests() const override { return inner_.MaxConcurrentRequests(); }
-  const StorageCounters& counters() const override { return inner_.counters(); }
 
  private:
-  StorageEngine& inner_;
   std::function<void(const std::string&)> write_hook_;  // Set before traffic.
   std::mutex mu_;
   At at_ = At::kVersionWrite;

@@ -13,21 +13,19 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 #include <span>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "src/storage/storage_engine.h"
+#include "tests/forwarding_engine.h"
 
 namespace aft {
 
-class PoolViewEngine final : public StorageEngine {
+class PoolViewEngine final : public ForwardingEngine {
  public:
   PoolViewEngine(StorageEngine& inner, size_t max_concurrent_requests)
-      : inner_(inner), max_concurrent_requests_(max_concurrent_requests) {}
+      : ForwardingEngine(inner), max_concurrent_requests_(max_concurrent_requests) {}
 
   // The next `n` CommitUnits calls block at entry — already counted as in
   // flight — until Release().
@@ -70,37 +68,7 @@ class PoolViewEngine final : public StorageEngine {
 
   size_t MaxConcurrentRequests() const override { return max_concurrent_requests_; }
 
-  Result<std::string> Get(const std::string& key) override { return inner_.Get(key); }
-  Result<std::string> GetRange(const std::string& key, uint64_t offset,
-                               uint64_t length) override {
-    return inner_.GetRange(key, offset, length);
-  }
-  std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override {
-    return inner_.MultiGet(keys);
-  }
-  Status Put(std::string key, std::string value) override {
-    return inner_.Put(std::move(key), std::move(value));
-  }
-  Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
-  Status BatchPutConsume(std::span<WriteOp> ops) override { return inner_.BatchPutConsume(ops); }
-  void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) override {
-    inner_.BatchPutEach(ops, statuses);
-  }
-  Status Delete(const std::string& key) override { return inner_.Delete(key); }
-  Status BatchDelete(std::span<const std::string> keys) override {
-    return inner_.BatchDelete(keys);
-  }
-  Result<std::vector<std::string>> List(const std::string& prefix) override {
-    return inner_.List(prefix);
-  }
-  std::string_view name() const override { return inner_.name(); }
-  bool SupportsBatchPut() const override { return inner_.SupportsBatchPut(); }
-  size_t MaxBatchSize() const override { return inner_.MaxBatchSize(); }
-  double client_cpu_factor() const override { return inner_.client_cpu_factor(); }
-  const StorageCounters& counters() const override { return inner_.counters(); }
-
  private:
-  StorageEngine& inner_;
   const size_t max_concurrent_requests_;
   std::mutex mu_;
   std::condition_variable cv_;

@@ -37,9 +37,9 @@
 # A fifth, within-run gate holds the paper's headline cost figure
 # (bench_fig3_end_to_end): AFT's p50 over Plain's on the same engine in the
 # same run, at most 1.35x on S3 and Redis and 1.25x on DynamoDB. It counts
-# only engine pairs where both rows completed >= MIN_FIG3_TXNS (env, default
-# 200) transactions; a --smoke run completes far fewer, so each such pair
-# prints an explicit SKIP line instead of passing.
+# only engine pairs where both rows completed >= 200 transactions; a --smoke
+# run completes far fewer, so each such pair prints an explicit SKIP line
+# instead of passing.
 #
 # Usage: tools/bench_gate.sh CURRENT.json [MIN_SPEEDUP] [MIN_CLIENTS] [MAX_ALLOCS]
 #
@@ -217,7 +217,7 @@ done
 # completed transactions on either side is too small for a stable median:
 # it prints SKIP with its count and is not gated. No fig3 row pair at all is
 # an error, as above.
-MIN_FIG3_TXNS="${MIN_FIG3_TXNS:-200}"
+readonly MIN_FIG3_TXNS=200
 sed -nE 's/.*"bench":"fig3_end_to_end","row":"(S3|DynamoDB|Redis) (Plain|Aft)".*"p50_ms":([0-9.]+).*"completed":([0-9]+).*/\1\t\2\t\3\t\4/p' "$CURRENT" \
   | awk -F '\t' -v min_txns="$MIN_FIG3_TXNS" '
   {
