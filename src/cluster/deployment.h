@@ -38,8 +38,12 @@ struct ClusterOptions {
   // kTcp only: transport knobs for the per-node service servers and the
   // gossip RPCs (timeouts).
   net::TcpMulticastBusOptions tcp_options;
-  // When true, Start() launches the bus / fault-manager / per-node
-  // background threads; tests that drive rounds manually leave this off.
+  // When true, Start() launches the gossip bus and fault-manager threads;
+  // tests that drive rounds manually leave this off. Nodes run their own
+  // background thread (local GC, transaction timeouts) only with
+  // node_options.enable_background_threads, which this does not set.
+  // Without node-local GC every node keeps every record it learns, so its
+  // global-GC vote stays no and the fault manager deletes nothing.
   bool start_background_threads = true;
 };
 

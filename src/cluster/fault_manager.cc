@@ -46,6 +46,8 @@ FaultManager::FaultManager(Clock& clock, StorageEngine& storage, LoadBalancer& b
   wrap("aft_fm_orphans_deleted_total", "Orphaned versions deleted by the sweep",
        stats_.orphans_deleted);
   wrap("aft_fm_gc_rounds_total", "Global GC rounds run", stats_.gc_rounds);
+  wrap("aft_fm_gc_votes_total", "Superseded records put to the nodes' global-GC vote",
+       stats_.gc_votes);
   wrap("aft_fm_failures_detected_total", "Node failures detected", stats_.failures_detected);
   wrap("aft_fm_nodes_replaced_total", "Dead nodes replaced", stats_.nodes_replaced);
   metric_callbacks_.push_back(reg.RegisterCallback(
@@ -92,6 +94,23 @@ void FaultManager::IngestCommits(const std::vector<CommitRecordPtr>& records) {
 
 size_t FaultManager::RunLivenessScanOnce() {
   obs::ScopedHistogramTimer timer(metrics_.liveness_scan_ms);
+  MutexLock scan_lock(scan_mu_);
+  // Keys of records a failed global-GC delete may have left in storage are
+  // unresolved again, so a surviving record is examined afresh.
+  std::vector<std::string> evicted;
+  {
+    MutexLock lock(known_writers_mu_);
+    evicted.swap(scan_evicted_);
+  }
+  if (!evicted.empty()) {
+    std::sort(evicted.begin(), evicted.end());
+    std::vector<std::string> kept;
+    kept.reserve(scan_resolved_.size());
+    std::set_difference(std::make_move_iterator(scan_resolved_.begin()),
+                        std::make_move_iterator(scan_resolved_.end()), evicted.begin(),
+                        evicted.end(), std::back_inserter(kept));
+    scan_resolved_ = std::move(kept);
+  }
   auto keys = storage_.List(kCommitPrefix);
   if (!keys.ok()) {
     return 0;
@@ -100,17 +119,33 @@ size_t FaultManager::RunLivenessScanOnce() {
   const int64_t grace_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(options_.liveness_grace).count();
   // Phase 1 (in-memory, cheap): records in storage we have never heard of.
+  // The listing and the keys resolved last scan are both sorted, so one
+  // merge walk skips the resolved keys unparsed. A key is resolved once
+  // this manager knows its record (or is deleting it); a record this scan
+  // recovers is resolved by the next.
+  std::vector<std::string> resolved;
+  resolved.reserve(keys->size());
   std::vector<std::string> candidates;
-  for (const std::string& storage_key : keys.value()) {
+  auto known = scan_resolved_.cbegin();
+  for (std::string& storage_key : *keys) {
+    while (known != scan_resolved_.cend() && *known < storage_key) {
+      ++known;
+    }
+    if (known != scan_resolved_.cend() && *known == storage_key) {
+      resolved.push_back(std::move(storage_key));
+      continue;
+    }
     const TxnId id = TxnIdFromCommitStorageKey(storage_key);
     if (commits_.Contains(id) || commits_.HasLocallyDeleted(id)) {
+      resolved.push_back(std::move(storage_key));
       continue;
     }
     if (id.timestamp > now_micros - grace_micros) {
       continue;  // Fresh commit, presumably still in flight to the gossip.
     }
-    candidates.push_back(storage_key);
+    candidates.push_back(std::move(storage_key));
   }
+  scan_resolved_ = std::move(resolved);
   if (candidates.empty()) {
     return 0;
   }
@@ -173,34 +208,51 @@ size_t FaultManager::RunGlobalGcOnce() {
   }
   obs::ScopedHistogramTimer timer(metrics_.gc_round_ms);
   stats_.gc_rounds.fetch_add(1, std::memory_order_relaxed);
-  std::vector<CommitRecordPtr> snapshot = commits_.Snapshot();
-  // Oldest first (§5.2.1 mitigation).
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const CommitRecordPtr& a, const CommitRecordPtr& b) { return a->id < b->id; });
+  MutexLock gc_lock(gc_mu_);
   const std::vector<AftNode*> nodes = ManagedNodes();
+  // A veto turns into a yes only when the vetoing node's local GC drops the
+  // record (it checks read pins first; a node that never held the record
+  // votes yes at once), the node dies, or it leaves the managed set. So
+  // vetoed records are re-voted only after one of those inputs changed;
+  // otherwise a round votes on the newly superseded records alone. Inputs
+  // are read before any vote, so a change during the votes shows next round.
+  std::vector<GcVoter> voters;
+  voters.reserve(nodes.size());
+  for (AftNode* node : nodes) {
+    voters.push_back(GcVoter{node, node->alive(), node->LocalGcRemovals()});
+  }
+  std::vector<TxnId> candidates;
+  if (voters != gc_voters_) {
+    candidates.swap(gc_awaiting_);
+    gc_voters_ = std::move(voters);
+  }
+  index_.TakeSuperseded(&candidates);
+  // Oldest first (§5.2.1 mitigation).
+  std::sort(candidates.begin(), candidates.end());
   std::vector<CommitRecordPtr> victims;
-  for (const auto& record : snapshot) {
-    if (!IsTransactionSuperseded(*record, index_)) {
-      continue;
-    }
-    // Not indexed yet (an ingest sits between commits_.Add and AddCommit):
-    // collecting it now would strand its versions in the index.
-    if (!record->write_set.empty() && !index_.Contains(record->write_set.front(), record->id)) {
-      continue;
+  for (const TxnId& id : candidates) {
+    if (!index_.IsSuperseded(id)) {
+      continue;  // Current again or already gone: the index re-queues it.
     }
     // §5.2: delete only if every node has dropped the transaction locally
     // (and thus no running transaction can still read from it).
+    stats_.gc_votes.fetch_add(1, std::memory_order_relaxed);
     const bool all_agree = std::all_of(nodes.begin(), nodes.end(), [&](AftNode* node) {
-      return node->CanGloballyDelete(record->id);
+      return node->CanGloballyDelete(id);
     });
     if (!all_agree) {
+      gc_awaiting_.push_back(id);
+      continue;
+    }
+    CommitRecordPtr record = commits_.Lookup(id);
+    if (record == nullptr) {
       continue;
     }
     // Remove from our own view first so the liveness scan does not
     // resurrect the record while the deletion is in flight.
     index_.RemoveCommit(*record);
-    commits_.Remove(record->id);
-    victims.push_back(record);
+    commits_.Remove(id);
+    victims.push_back(std::move(record));
   }
   if (victims.empty()) {
     return 0;
@@ -238,7 +290,7 @@ size_t FaultManager::RunGlobalGcOnce() {
         }
         victim_keys.push_back(CommitStorageKey(record->id));
       }
-      (void)storage_.BatchDelete(victim_keys);
+      const Status deleted = storage_.BatchDelete(victim_keys);
       for (const auto& record : group) {
         commits_.ForgetLocallyDeleted(record->id);
         for (AftNode* node : nodes) {
@@ -248,11 +300,16 @@ size_t FaultManager::RunGlobalGcOnce() {
       // Drop deleted writers from the orphan whitelist: if a transient
       // storage error left a straggler version behind, the orphan sweep can
       // now reap it (its commit record is gone, so nothing will ever
-      // reference it).
+      // reference it). A deleted commit key drops out of the liveness scan's
+      // next listing; one a failed delete may have left behind is still
+      // listed, so the scan must examine it afresh.
       {
         MutexLock lock(known_writers_mu_);
         for (const auto& record : group) {
           known_writers_.erase(record->id.uuid);
+          if (!deleted.ok()) {
+            scan_evicted_.push_back(CommitStorageKey(record->id));
+          }
         }
       }
       stats_.txns_deleted.fetch_add(group.size(), std::memory_order_relaxed);
@@ -296,7 +353,7 @@ size_t FaultManager::RunOrphanSweepOnce() {
       if (slash == std::string::npos) {
         continue;
       }
-      writer = Uuid::Parse(storage_key.substr(slash + 1));
+      writer = Uuid::Parse(std::string_view(storage_key).substr(slash + 1));
     }
     if (writer.IsNil() || known.contains(writer)) {
       continue;  // Committed (or commit seen at some point): not an orphan.

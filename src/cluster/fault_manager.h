@@ -85,6 +85,7 @@ struct FaultManagerStats {
   std::atomic<uint64_t> versions_deleted{0};
   std::atomic<uint64_t> orphans_deleted{0};
   std::atomic<uint64_t> gc_rounds{0};
+  std::atomic<uint64_t> gc_votes{0};  // Records put to the nodes' vote.
   std::atomic<uint64_t> failures_detected{0};
   std::atomic<uint64_t> nodes_replaced{0};
 };
@@ -153,12 +154,32 @@ class FaultManager {
   CommitSetCache commits_;
   KeyVersionIndex index_;
 
+  // Global GC state, one round at a time: the superseded records some node
+  // vetoed, and the vote inputs of the round that last voted on them.
+  struct GcVoter {
+    AftNode* node;
+    bool alive;
+    uint64_t local_gc_removals;
+    bool operator==(const GcVoter&) const = default;
+  };
+  Mutex gc_mu_;
+  std::vector<TxnId> gc_awaiting_ GUARDED_BY(gc_mu_);
+  std::vector<GcVoter> gc_voters_ GUARDED_BY(gc_mu_);
+
+  // Liveness scan state, one scan at a time: the sorted commit keys whose
+  // records this manager already knows, skipped unparsed by the next scan.
+  Mutex scan_mu_;
+  std::vector<std::string> scan_resolved_ GUARDED_BY(scan_mu_);
+
   // Writer UUIDs of every commit record ever seen (including ones whose
   // data the GC already deleted) — the orphan sweep's whitelist.
   mutable Mutex known_writers_mu_;
   std::unordered_set<Uuid> known_writers_ GUARDED_BY(known_writers_mu_);
   // Orphan candidates: version storage key -> when first seen.
   std::unordered_map<std::string, TimePoint> orphan_candidates_ GUARDED_BY(known_writers_mu_);
+  // Commit keys of records whose global-GC delete failed since the last
+  // liveness scan; that scan drops them from scan_resolved_.
+  std::vector<std::string> scan_evicted_ GUARDED_BY(known_writers_mu_);
 
   mutable Mutex nodes_mu_;
   std::vector<AftNode*> managed_nodes_ GUARDED_BY(nodes_mu_);

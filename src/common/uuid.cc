@@ -1,7 +1,5 @@
 #include "src/common/uuid.h"
 
-#include <cstdio>
-
 #include "src/common/rng.h"
 
 namespace aft {
@@ -23,24 +21,57 @@ std::string Uuid::ToString() const {
   return out;
 }
 
+namespace {
+
+// Dash positions of the 8-4-4-4-12 form.
+constexpr bool IsDash(size_t i) { return i == 8 || i == 13 || i == 18 || i == 23; }
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+}  // namespace
+
 void Uuid::AppendTo(std::string& out) const {
-  char buf[kStringLength + 1];
-  std::snprintf(buf, sizeof(buf), "%08x-%04x-%04x-%04x-%012llx",
-                static_cast<uint32_t>(hi_ >> 32), static_cast<uint32_t>((hi_ >> 16) & 0xffff),
-                static_cast<uint32_t>(hi_ & 0xffff), static_cast<uint32_t>(lo_ >> 48),
-                static_cast<unsigned long long>(lo_ & 0xffffffffffffULL));
+  char buf[kStringLength];
+  int shift = 124;  // The 32 nibbles of hi:lo, most significant first.
+  for (size_t i = 0; i < kStringLength; ++i) {
+    if (IsDash(i)) {
+      buf[i] = '-';
+      continue;
+    }
+    const uint64_t word = shift >= 64 ? hi_ : lo_;
+    buf[i] = kHexDigits[(word >> (shift % 64)) & 0xf];
+    shift -= 4;
+  }
   out.append(buf, kStringLength);
 }
 
-Uuid Uuid::Parse(const std::string& text) {
-  unsigned int a = 0, b = 0, c = 0, d = 0;
-  unsigned long long e = 0;
-  if (std::sscanf(text.c_str(), "%8x-%4x-%4x-%4x-%12llx", &a, &b, &c, &d, &e) != 5) {
-    return Uuid();
+std::optional<Uuid> Uuid::TryParse(std::string_view text) {
+  if (text.size() != kStringLength) {
+    return std::nullopt;
   }
-  const uint64_t hi = (static_cast<uint64_t>(a) << 32) | (static_cast<uint64_t>(b) << 16) | c;
-  const uint64_t lo = (static_cast<uint64_t>(d) << 48) | e;
-  return Uuid(hi, lo);
+  uint64_t words[2] = {0, 0};
+  size_t nibble = 0;
+  for (size_t i = 0; i < kStringLength; ++i) {
+    const char c = text[i];
+    if (IsDash(i)) {
+      if (c != '-') {
+        return std::nullopt;
+      }
+      continue;
+    }
+    uint64_t digit;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<uint64_t>(c - 'a' + 10);
+    } else {
+      return std::nullopt;
+    }
+    uint64_t& word = words[nibble / 16];
+    word = (word << 4) | digit;
+    ++nibble;
+  }
+  return Uuid(words[0], words[1]);
 }
 
 }  // namespace aft

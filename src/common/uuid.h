@@ -10,7 +10,9 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace aft {
 
@@ -26,10 +28,11 @@ class Uuid {
   // Generates a version-4 style random UUID from the given generator.
   static Uuid Random(Rng& rng);
 
-  // Parses the canonical 8-4-4-4-12 hex form; returns the nil UUID on
-  // malformed input (callers in this codebase only parse strings they
-  // produced themselves).
-  static Uuid Parse(const std::string& text);
+  // Parses the canonical form — exactly 36 characters, lowercase hex in
+  // 8-4-4-4-12 groups — and returns the nil UUID on anything else.
+  static Uuid Parse(std::string_view text) { return TryParse(text).value_or(Uuid()); }
+  // The same, telling malformed input (nullopt) from the nil UUID.
+  static std::optional<Uuid> TryParse(std::string_view text);
 
   bool IsNil() const { return hi_ == 0 && lo_ == 0; }
 

@@ -759,7 +759,6 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   for (const auto& [key, payload] : txn->write_buffer) {
     data_cache_.Put(VersionStorageKey(key, txid), payload);
   }
-  commits_.NoteLocalCommit(commit_id);
   txn->status = TxnStatus::kCommitted;
   UnpinReads(*txn);
   txn->reads_from.clear();
@@ -836,7 +835,7 @@ void AftNode::DrainRecentCommits(std::vector<CommitRecordPtr>* pruned,
   if (pruned != nullptr) {
     // §4.1: locally superseded transactions are omitted from the multicast.
     for (auto& record : drained) {
-      if (!IsTransactionSuperseded(*record, index_)) {
+      if (!index_.IsSuperseded(record->id)) {
         pruned->push_back(std::move(record));
       }
     }
@@ -884,13 +883,17 @@ size_t AftNode::RunLocalGcOnce() {
   }
   // §5.1: remove a committed transaction's metadata when (a) it is
   // superseded and (b) no currently-executing transaction has read from its
-  // write set. Oldest transactions are collected first, which mitigates the
-  // missing-versions pitfall of §5.2.1. Every eligible record goes in one
-  // sweep, so the commit set and version index stay bounded by the live
-  // versions however fast commits arrive.
-  std::vector<CommitRecordPtr> snapshot = commits_.Snapshot();
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const CommitRecordPtr& a, const CommitRecordPtr& b) { return a->id < b->id; });
+  // write set. The index queues each record as it becomes superseded; a
+  // round drains that queue and retries the records a read pin or a pending
+  // broadcast held back last time, so it costs what it examines, not the
+  // commit set, and every eligible record still goes in one round.
+  MutexLock gc_lock(gc_mu_);
+  std::vector<TxnId> candidates;
+  candidates.swap(gc_blocked_);
+  index_.TakeSuperseded(&candidates);
+  if (candidates.empty()) {
+    return 0;
+  }
   // Records still pending broadcast must reach the bus / fault manager first.
   std::unordered_set<TxnId> pending;
   {
@@ -900,28 +903,24 @@ size_t AftNode::RunLocalGcOnce() {
     }
   }
   size_t removed = 0;
-  for (const auto& record : snapshot) {
-    if (pending.contains(record->id)) {
+  for (const TxnId& id : candidates) {
+    if (!index_.IsSuperseded(id)) {
+      continue;  // Current again or already gone: the index re-queues it.
+    }
+    if (pending.contains(id) || AnyRunningTransactionReadsFrom(id)) {
+      gc_blocked_.push_back(id);
       continue;
     }
-    if (!IsTransactionSuperseded(*record, index_)) {
-      continue;
-    }
-    // Not indexed yet: its committer sits between commits_.Add and
-    // index_.AddCommit, and collecting it now would let that AddCommit leave
-    // versions in the index that no record backs and no sweep ever removes.
-    if (!record->write_set.empty() && !index_.Contains(record->write_set.front(), record->id)) {
-      continue;
-    }
-    if (AnyRunningTransactionReadsFrom(record->id)) {
+    CommitRecordPtr record = commits_.Lookup(id);
+    if (record == nullptr) {
       continue;
     }
     // Remove from the index first so Algorithm 1 stops offering these
     // versions, then drop the record and evict cached data.
     index_.RemoveCommit(*record);
-    commits_.Remove(record->id);
+    commits_.Remove(id);
     for (const std::string& key : record->write_set) {
-      data_cache_.Erase(VersionStorageKey(key, record->id.uuid));
+      data_cache_.Erase(VersionStorageKey(key, id.uuid));
     }
     ++removed;
   }

@@ -203,6 +203,9 @@ class AftNode {
   // ---- Garbage collection (§5) ----------------------------------------------
   // One local metadata GC sweep; returns the number of records removed.
   size_t RunLocalGcOnce();
+  // Records local GC has removed; the fault manager re-votes its vetoed
+  // records when this changes.
+  uint64_t LocalGcRemovals() const { return metrics_.gc_records_removed->Value(); }
 
   // Global-GC protocol: has this node locally dropped `id`'s metadata?
   bool HasLocallyDeleted(const TxnId& id) const;
@@ -228,9 +231,6 @@ class AftNode {
   size_t CommitSetSize() const { return commits_.size(); }
   size_t KeyVersionCount() const { return index_.TotalVersionCount(); }
   StorageEngine& storage() { return storage_; }
-  bool IsSuperseded(const CommitRecord& record) const {
-    return IsTransactionSuperseded(record, index_);
-  }
 
  private:
   using TxnPtr = std::shared_ptr<TransactionState>;
@@ -294,6 +294,11 @@ class AftNode {
   // block in one recycled block); the pool is thread-safe, so records may be
   // released from gossip / fault-manager threads.
   PoolAllocator<CommitRecord> record_alloc_;
+
+  // Superseded records that a read pin or a pending broadcast kept local GC
+  // from dropping; the next round retries them before the index's queue.
+  Mutex gc_mu_{"node.gc"};
+  std::vector<TxnId> gc_blocked_ GUARDED_BY(gc_mu_);
 
   // Metadata + data caches.
   CommitSetCache commits_;

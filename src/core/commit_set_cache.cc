@@ -35,30 +35,6 @@ bool CommitSetCache::Contains(const TxnId& id) const {
   return shard.records.contains(id);
 }
 
-std::vector<CommitRecordPtr> CommitSetCache::Snapshot() const {
-  std::vector<CommitRecordPtr> out;
-  for (const Shard& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    out.reserve(out.size() + shard.records.size());
-    for (const auto& [id, record] : shard.records) {
-      out.push_back(record);
-    }
-  }
-  return out;
-}
-
-void CommitSetCache::NoteLocalCommit(const TxnId& id) {
-  MutexLock lock(recent_mu_);
-  recent_commits_.push_back(id);
-}
-
-std::vector<TxnId> CommitSetCache::TakeRecentCommits() {
-  MutexLock lock(recent_mu_);
-  std::vector<TxnId> out;
-  out.swap(recent_commits_);
-  return out;
-}
-
 bool CommitSetCache::HasLocallyDeleted(const TxnId& id) const {
   const Shard& shard = ShardFor(id);
   ReaderMutexLock lock(shard.mu);
@@ -69,15 +45,6 @@ void CommitSetCache::ForgetLocallyDeleted(const TxnId& id) {
   Shard& shard = ShardFor(id);
   WriterMutexLock lock(shard.mu);
   shard.locally_deleted.erase(id);
-}
-
-size_t CommitSetCache::LocallyDeletedCount() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    total += shard.locally_deleted.size();
-  }
-  return total;
 }
 
 size_t CommitSetCache::size() const {

@@ -2,9 +2,8 @@
 //
 // Maps transaction IDs to their commit records. Records are shared_ptr so a
 // running transaction can pin the cowritten sets of versions it has read even
-// if the GC drops them from the cache concurrently. Also tracks the list of
-// transactions committed locally since the last multicast round (§4) and the
-// set of locally GC-deleted transaction IDs the global GC asks about (§5.2).
+// if the GC drops them from the cache concurrently. Also tracks the set of
+// locally GC-deleted transaction IDs the global GC asks about (§5.2).
 //
 // Concurrency: the record map and the locally-deleted set are split into K
 // lock-striped shards hashed by TxnId, so the per-key lookups Algorithm 1
@@ -13,8 +12,6 @@
 // Add() a record AFTER its commit record has persisted in storage (§3.3's
 // write-ordering barrier / §3.4), so a transaction becomes visible in this
 // index — on whichever shard it hashes to — only once it is durable.
-// The recent-commits list is a plain append/drain queue with its own mutex
-// (two uncontended points: one writer per commit, one drain per gossip tick).
 
 #ifndef SRC_CORE_COMMIT_SET_CACHE_H_
 #define SRC_CORE_COMMIT_SET_CACHE_H_
@@ -24,7 +21,6 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/pool_allocator.h"
@@ -38,7 +34,7 @@ using CommitRecordPtr = std::shared_ptr<const CommitRecord>;
 class CommitSetCache {
  public:
   // Shard count: enough stripes that 16+ service threads rarely collide,
-  // small enough that Snapshot()/size() sweeps stay cheap.
+  // small enough that size() sweeps stay cheap.
   static constexpr size_t kNumShards = 16;
 
   CommitSetCache() = default;
@@ -53,23 +49,10 @@ class CommitSetCache {
   CommitRecordPtr Lookup(const TxnId& id) const;
   bool Contains(const TxnId& id) const;
 
-  // All currently cached records (GC sweep iterates this snapshot). Shards
-  // are snapshotted one at a time: the result is a union of per-shard
-  // consistent views, which is all the GC/liveness sweeps ever needed (the
-  // old single-lock snapshot raced concurrent Add/Remove the same way).
-  std::vector<CommitRecordPtr> Snapshot() const;
-
-  // ---- Multicast bookkeeping (§4) -----------------------------------------
-  // Appends to the recently-committed list consumed by the broadcast thread.
-  void NoteLocalCommit(const TxnId& id);
-  // Drains and returns the recently-committed IDs.
-  std::vector<TxnId> TakeRecentCommits();
-
   // ---- Global GC bookkeeping (§5.2) ----------------------------------------
   bool HasLocallyDeleted(const TxnId& id) const;
   // The global GC confirmed deletion; we can forget the tombstone.
   void ForgetLocallyDeleted(const TxnId& id);
-  size_t LocallyDeletedCount() const;
 
   size_t size() const;
   // Records held by shard `i` (i < kNumShards) — exposed per shard so a
@@ -108,9 +91,6 @@ class CommitSetCache {
   std::array<Shard, kNumShards> shards_;
   mutable std::atomic<uint64_t> lookup_hits_{0};
   mutable std::atomic<uint64_t> lookup_misses_{0};
-
-  mutable Mutex recent_mu_{"commit_cache.recent"};
-  std::vector<TxnId> recent_commits_ GUARDED_BY(recent_mu_);
 };
 
 }  // namespace aft

@@ -80,7 +80,9 @@ std::vector<AtomicReadChoice> PlanAtomicMultiRead(
 // has a committed version strictly newer than T. (The paper's formulation
 // `latest == i -> not superseded` assumes T is already merged into the local
 // index; this form is equivalent there and also correct for records received
-// via multicast that were never merged.)
+// via multicast that were never merged.) Indexed records are tracked
+// incrementally by KeyVersionIndex::IsSuperseded; this per-key form is the
+// check on receipt (ApplyRemoteCommits), before a record is indexed.
 bool IsTransactionSuperseded(const CommitRecord& record, const KeyVersionIndex& index);
 
 }  // namespace aft

@@ -30,7 +30,7 @@ TxnId TxnIdFromCommitStorageKey(const std::string& storage_key) {
   if (storage_key.size() <= prefix_len) {
     return TxnId();
   }
-  return TxnId::Decode(storage_key.substr(prefix_len));
+  return TxnId::Decode(std::string_view(storage_key).substr(prefix_len));
 }
 
 std::string SegmentStorageKey(const Uuid& writer, uint32_t index) {
@@ -43,7 +43,7 @@ Uuid WriterFromSegmentStorageKey(const std::string& storage_key) {
   if (storage_key.compare(0, prefix_len, kSegmentPrefix) != 0 || dot == std::string::npos) {
     return Uuid();
   }
-  return Uuid::Parse(storage_key.substr(prefix_len, dot - prefix_len));
+  return Uuid::Parse(std::string_view(storage_key).substr(prefix_len, dot - prefix_len));
 }
 
 const VersionLocator* CommitRecord::FindLocator(const std::string& key) const {

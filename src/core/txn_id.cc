@@ -1,7 +1,6 @@
 #include "src/core/txn_id.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 namespace aft {
 
@@ -13,21 +12,41 @@ std::string TxnId::Encode() const {
 }
 
 void TxnId::EncodeTo(std::string& out) const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%020lld_", static_cast<long long>(timestamp));
-  out.append(buf);  // 21 chars for every real (non-negative) timestamp.
+  char buf[kTimestampDigits + 1];
+  // Timestamps are non-negative; a negative one would not fit the form.
+  uint64_t rest = timestamp < 0 ? 0 : static_cast<uint64_t>(timestamp);
+  for (size_t i = kTimestampDigits; i > 0; --i) {
+    buf[i - 1] = static_cast<char>('0' + rest % 10);
+    rest /= 10;
+  }
+  buf[kTimestampDigits] = '_';
+  out.append(buf, sizeof(buf));
   uuid.AppendTo(out);
 }
 
-TxnId TxnId::Decode(const std::string& text) {
-  const size_t sep = text.find('_');
-  if (sep == std::string::npos) {
+TxnId TxnId::Decode(std::string_view text) {
+  if (text.size() != kEncodedLength || text[kTimestampDigits] != '_') {
     return TxnId();
   }
-  TxnId id;
-  id.timestamp = std::strtoll(text.substr(0, sep).c_str(), nullptr, 10);
-  id.uuid = Uuid::Parse(text.substr(sep + 1));
-  return id;
+  uint64_t timestamp = 0;
+  for (size_t i = 0; i < kTimestampDigits; ++i) {
+    const char c = text[i];
+    if (c < '0' || c > '9') {
+      return TxnId();
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    constexpr uint64_t kMax = std::numeric_limits<int64_t>::max();
+    if (timestamp > (kMax - digit) / 10) {
+      return TxnId();
+    }
+    timestamp = timestamp * 10 + digit;
+  }
+  text.remove_prefix(kTimestampDigits + 1);
+  const std::optional<Uuid> uuid = Uuid::TryParse(text);
+  if (!uuid.has_value()) {
+    return TxnId();
+  }
+  return TxnId(static_cast<int64_t>(timestamp), *uuid);
 }
 
 }  // namespace aft

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "src/common/uuid.h"
 
@@ -33,13 +34,18 @@ struct TxnId {
   // Total order: timestamp first, UUID lexicographically on ties (§3.1).
   friend auto operator<=>(const TxnId& a, const TxnId& b) = default;
 
-  // "00000000000000001234_<uuid>": zero-padded so the string order equals
-  // the ID order — commit records listed by prefix come back time-ordered.
+  // "00000000000000001234_<uuid>": the timestamp as 20 zero-padded decimal
+  // digits, so the string order equals the ID order for every real
+  // (non-negative) timestamp — commit records listed by prefix come back
+  // time-ordered.
   std::string Encode() const;
   // The same characters appended to `out`; always kEncodedLength of them.
-  static constexpr size_t kEncodedLength = 20 + 1 + Uuid::kStringLength;
+  static constexpr size_t kTimestampDigits = 20;
+  static constexpr size_t kEncodedLength = kTimestampDigits + 1 + Uuid::kStringLength;
   void EncodeTo(std::string& out) const;
-  static TxnId Decode(const std::string& text);
+  // Parses exactly the form Encode produces; Null() on anything else
+  // (wrong length, a non-digit, a timestamp past INT64_MAX, a bad UUID).
+  static TxnId Decode(std::string_view text);
 
   std::string ToString() const { return Encode(); }
 };

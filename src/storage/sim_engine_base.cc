@@ -33,7 +33,9 @@ SimEngineBase::SimEngineBase(std::string name, Clock& clock, EngineLatencyProfil
     : clock_(clock),
       profile_(profile),
       staleness_(staleness),
-      map_(map_shards),
+      // An engine that never serves a stale read keeps no history: an
+      // overwrite replaces the value and a delete frees the key at once.
+      map_(map_shards, staleness.IsConsistent() ? 1 : kStaleHistoryDepth),
       name_(std::move(name)) {
   auto& reg = obs::MetricsRegistry::Global();
   const obs::MetricLabels labels = {{"engine", name_}};

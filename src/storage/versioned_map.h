@@ -36,11 +36,15 @@ struct StalenessModel {
   bool IsConsistent() const { return stale_probability <= 0.0; }
 };
 
+// Per-key entries an engine with staleness retains for stale reads.
+inline constexpr size_t kStaleHistoryDepth = 8;
+
 class VersionedMap {
  public:
   // `num_shards` bounds lock contention; `history_depth` bounds the per-key
-  // version list used for stale reads.
-  explicit VersionedMap(size_t num_shards = 16, size_t history_depth = 8);
+  // version list used for stale reads. A depth of 1 keeps no history: an
+  // overwrite replaces the value and Delete erases the key.
+  explicit VersionedMap(size_t num_shards = 16, size_t history_depth = kStaleHistoryDepth);
 
   // Writes `key = value` at time `now`. By-value: hot callers move exact-
   // sized buffers straight into the map (a fresh key's string and first
@@ -56,8 +60,9 @@ class VersionedMap {
   // Returns the latest value regardless of as_of.
   std::optional<std::string> GetLatest(const std::string& key) const;
 
-  // Removes the key at time `now` (writes a tombstone so in-flight stale
-  // reads can still see the pre-delete value).
+  // Removes the key at time `now`: writes a tombstone so in-flight stale
+  // reads can still see the pre-delete value, or — with no history kept —
+  // erases it.
   void Delete(const std::string& key, TimePoint now);
 
   // Lexicographically ordered live keys with the given prefix.

@@ -338,6 +338,9 @@ TEST_F(AftNodeTest, LocalGcSparesPendingBroadcast) {
   CommitSimple(*node, {{"k", "new"}});
   // Nothing drained yet: both records are pending broadcast.
   EXPECT_EQ(node->RunLocalGcOnce(), 0u);
+  // The held-back record is retried once the broadcast drained it.
+  node->DrainRecentCommits(nullptr, nullptr);
+  EXPECT_EQ(node->RunLocalGcOnce(), 1u);
 }
 
 TEST_F(AftNodeTest, LocalGcSparesRecordsReadByRunningTxns) {

@@ -7,6 +7,7 @@
 #include "src/cluster/deployment.h"
 #include "src/obs/metrics.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/forwarding_engine.h"
 
 namespace aft {
 namespace {
@@ -292,6 +293,94 @@ TEST_F(ClusterTest, GlobalGcCanBeDisabled) {
   cluster.bus().RunOnce();
   (void)cluster.node(0)->RunLocalGcOnce();
   EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 0u);
+}
+
+// A vetoed record is re-voted only once a vote input changed: a node's
+// local-GC removal count, its liveness, or the managed-node set.
+class GlobalGcVoteTest : public ClusterTest {
+ protected:
+  // Node 1 caches a superseded record (pruning off) that node 0 has already
+  // dropped, so node 1 alone vetoes it.
+  TxnId VetoedByNodeOne(ClusterDeployment& cluster) {
+    cluster.bus().set_pruning_enabled(false);
+    const TxnId old_id = CommitVia(*cluster.node(0), "k", "old");
+    CommitVia(*cluster.node(0), "k", "new");
+    cluster.bus().RunOnce();
+    (void)cluster.node(0)->RunLocalGcOnce();
+    EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 0u);
+    return old_id;
+  }
+  uint64_t Votes(ClusterDeployment& cluster) {
+    return cluster.fault_manager().stats().gc_votes.load();
+  }
+};
+
+TEST_F(GlobalGcVoteTest, VetoedRecordIsRevotedAfterTheNodeDropsIt) {
+  ClusterDeployment cluster(storage_, clock_, ManualCluster(2));
+  ASSERT_TRUE(cluster.Start().ok());
+  const TxnId old_id = VetoedByNodeOne(cluster);
+  const uint64_t votes = Votes(cluster);
+  EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 0u);
+  EXPECT_EQ(Votes(cluster), votes) << "nothing changed: no re-vote";
+  EXPECT_EQ(cluster.node(1)->RunLocalGcOnce(), 1u);
+  EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 1u);
+  EXPECT_EQ(Votes(cluster), votes + 1);
+  cluster.fault_manager().Stop();  // Flush the deletion pool.
+  EXPECT_TRUE(storage_.Get(CommitStorageKey(old_id)).status().IsNotFound());
+}
+
+TEST_F(GlobalGcVoteTest, NodeDeathUnblocksAVetoedRecord) {
+  ClusterDeployment cluster(storage_, clock_, ManualCluster(2));
+  ASSERT_TRUE(cluster.Start().ok());
+  VetoedByNodeOne(cluster);
+  cluster.KillNode(1);
+  EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 1u);
+}
+
+TEST_F(GlobalGcVoteTest, DecommissionUnblocksAVetoedRecord) {
+  ClusterDeployment cluster(storage_, clock_, ManualCluster(2));
+  ASSERT_TRUE(cluster.Start().ok());
+  VetoedByNodeOne(cluster);
+  cluster.fault_manager().Decommission(cluster.node(1));
+  EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 1u);
+}
+
+// Fails every BatchDelete while `fail_deletes` is set.
+class FailingDeleteEngine : public ForwardingEngine {
+ public:
+  using ForwardingEngine::ForwardingEngine;
+  Status BatchDelete(std::span<const std::string> keys) override {
+    if (fail_deletes.load()) {
+      return Status::Unavailable("delete failed (injected)");
+    }
+    return ForwardingEngine::BatchDelete(keys);
+  }
+  std::atomic<bool> fail_deletes{false};
+};
+
+// The liveness scan skips the keys it resolved before, but a key whose
+// global-GC delete failed is examined afresh: the next scan finds the
+// surviving record again.
+TEST_F(ClusterTest, LivenessScanReexaminesARecordTheGcFailedToDelete) {
+  FailingDeleteEngine engine(storage_);
+  ClusterDeployment cluster(engine, clock_, ManualCluster(2));
+  ASSERT_TRUE(cluster.Start().ok());
+  const TxnId old_id = CommitVia(*cluster.node(0), "k", "old");
+  CommitVia(*cluster.node(0), "k", "new");
+  cluster.KillNode(0);  // Dies before the gossip round.
+  clock_.Advance(std::chrono::seconds(5));
+  EXPECT_EQ(cluster.fault_manager().RunLivenessScanOnce(), 2u);
+  EXPECT_EQ(cluster.fault_manager().RunLivenessScanOnce(), 0u);
+
+  (void)cluster.node(1)->RunLocalGcOnce();
+  engine.fail_deletes.store(true);
+  EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 1u);
+  cluster.fault_manager().Stop();  // Flush the deletion pool.
+  engine.fail_deletes.store(false);
+  ASSERT_TRUE(storage_.Get(CommitStorageKey(old_id)).ok()) << "the delete was dropped";
+
+  EXPECT_EQ(cluster.fault_manager().RunLivenessScanOnce(), 1u);
+  EXPECT_EQ(cluster.fault_manager().KnownCommitCount(), 2u);
 }
 
 // ---- Fault manager: failure detection & replacement ----------------------------------------

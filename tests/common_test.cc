@@ -156,6 +156,38 @@ TEST(UuidTest, ParseRejectsGarbage) {
   EXPECT_TRUE(Uuid::Parse("").IsNil());
 }
 
+TEST(UuidTest, CodecRoundTripsSeededIdsAndRejectsNonCanonicalText) {
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const Uuid u(rng(), rng());  // Every bit pattern, not only v4 ones.
+    std::string text = "prefix/";
+    u.AppendTo(text);
+    ASSERT_EQ(text.size(), 7 + Uuid::kStringLength);
+    ASSERT_EQ(Uuid::Parse(std::string_view(text).substr(7)), u) << text;
+  }
+  EXPECT_EQ(Uuid(0x0123456789abcdefULL, 0xfedcba9876543210ULL).ToString(),
+            "01234567-89ab-cdef-fedc-ba9876543210");
+  EXPECT_EQ(Uuid::TryParse("00000000-0000-0000-0000-000000000000"), Uuid());
+  EXPECT_EQ(Uuid::TryParse("ffffffff-ffff-ffff-ffff-ffffffffffff"), Uuid(~0ULL, ~0ULL));
+  const std::vector<std::string> malformed = {
+      "",
+      "not-a-uuid",
+      "01234567-89AB-CDEF-FEDC-BA9876543210",   // Uppercase.
+      "01234567-89ab-cdef-fedc-ba987654321",    // 35 characters.
+      "01234567-89ab-cdef-fedc-ba98765432100",  // 37 characters.
+      "0123456789ab-cdef-fedc-ba9876543210-",   // Dashes moved.
+      "01234567089ab-cdef-fedc-ba9876543210",   // A dash replaced.
+      "0123456g-89ab-cdef-fedc-ba9876543210",   // Not hex.
+      " 1234567-89ab-cdef-fedc-ba9876543210",   // Leading space.
+      "+1234567-89ab-cdef-fedc-ba9876543210",   // Sign.
+      "0x234567-89ab-cdef-fedc-ba9876543210",   // Radix prefix.
+  };
+  for (const std::string& text : malformed) {
+    EXPECT_FALSE(Uuid::TryParse(text).has_value()) << text;
+    EXPECT_TRUE(Uuid::Parse(text).IsNil()) << text;
+  }
+}
+
 // ---- RNG / Zipf ----------------------------------------------------------------
 
 TEST(RngTest, BelowIsInRange) {

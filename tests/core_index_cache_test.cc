@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "src/common/rng.h"
 #include "src/core/commit_set_cache.h"
 #include "src/core/data_cache.h"
 #include "src/core/key_version_index.h"
+#include "src/core/read_algorithm.h"
 
 namespace aft {
 namespace {
@@ -103,8 +105,9 @@ TEST(KeyVersionIndexTest, RemoveCommitDropsVersions) {
   index.RemoveCommit(*r1);
   EXPECT_EQ(index.LatestVersion("k"), r2->id);
   EXPECT_TRUE(index.LatestVersion("l").IsNull());
-  EXPECT_FALSE(index.Contains("k", r1->id));
-  EXPECT_TRUE(index.Contains("k", r2->id));
+  auto page = index.CandidatesBelow("k", TxnId::Null(), TxnId::Null());
+  ASSERT_EQ(page.size(), 1u);
+  EXPECT_EQ(page[0], r2->id);
 }
 
 TEST(KeyVersionIndexTest, CountsAreAccurate) {
@@ -133,6 +136,116 @@ TEST(KeyVersionIndexTest, ConcurrentReadersAndWriters) {
   writer.join();
   reader.join();
   EXPECT_EQ(index.TotalVersionCount(), 500u);
+}
+
+// ---- Supersedence tracker ----------------------------------------------------------
+
+std::vector<TxnId> Drain(KeyVersionIndex& index) {
+  std::vector<TxnId> out;
+  index.TakeSuperseded(&out);
+  return out;
+}
+
+TEST(SupersedenceTrackerTest, NewerVersionsOnEveryKeySupersede) {
+  KeyVersionIndex index;
+  auto r1 = MakeRecord(10, {"k", "l"});
+  auto r2 = MakeRecord(20, {"k"});
+  auto r3 = MakeRecord(30, {"l"});
+  index.AddCommit(*r1);
+  index.AddCommit(*r2);
+  EXPECT_FALSE(index.IsSuperseded(r1->id)) << "still the newest version of l";
+  EXPECT_TRUE(Drain(index).empty());
+  index.AddCommit(*r3);
+  EXPECT_TRUE(index.IsSuperseded(r1->id));
+  EXPECT_FALSE(index.IsSuperseded(r2->id));
+  EXPECT_EQ(Drain(index), std::vector<TxnId>{r1->id});
+  EXPECT_TRUE(Drain(index).empty()) << "handed out once";
+  EXPECT_TRUE(index.IsSuperseded(r1->id)) << "draining does not change the answer";
+}
+
+TEST(SupersedenceTrackerTest, LateAndEmptyRecordsAreQueuedOnIndexing) {
+  KeyVersionIndex index;
+  auto newer = MakeRecord(20, {"k"});
+  auto late = MakeRecord(10, {"k"});
+  auto empty = MakeRecord(15, {});
+  index.AddCommit(*newer);
+  index.AddCommit(*late);   // Arrives behind the newest version of k.
+  index.AddCommit(*empty);  // Vacuously superseded.
+  index.AddCommit(*late);   // Duplicate: no second queue entry.
+  EXPECT_TRUE(index.IsSuperseded(late->id));
+  EXPECT_TRUE(index.IsSuperseded(empty->id));
+  EXPECT_EQ(Drain(index), (std::vector<TxnId>{late->id, empty->id}));
+}
+
+TEST(SupersedenceTrackerTest, RemovingTheNewestVersionCreditsTheNextNewest) {
+  KeyVersionIndex index;
+  auto r1 = MakeRecord(10, {"k"});
+  auto r2 = MakeRecord(20, {"k"});
+  index.AddCommit(*r1);
+  index.AddCommit(*r2);
+  index.RemoveCommit(*r2);
+  EXPECT_FALSE(index.IsSuperseded(r1->id));
+  EXPECT_FALSE(index.IsSuperseded(r2->id)) << "not indexed";
+  EXPECT_TRUE(Drain(index).empty()) << "current again before anyone drained it";
+  index.AddCommit(*r2);
+  EXPECT_EQ(Drain(index), std::vector<TxnId>{r1->id}) << "superseded again: queued again";
+  index.RemoveCommit(*r1);
+  index.AddCommit(*MakeRecord(30, {"k"}));
+  EXPECT_EQ(Drain(index), std::vector<TxnId>{r2->id}) << "a removed record is never handed out";
+}
+
+// Differential test: over seeded out-of-order histories of adds, duplicate
+// adds and removals (newest versions and empty write sets included), the
+// tracker agrees with Algorithm 2's per-key definition on every indexed
+// record, and its queue hands out exactly the records that became
+// superseded: a consumer that keeps what it drained while it stays
+// superseded always holds the full superseded set.
+TEST(SupersedenceTrackerTest, AgreesWithThePerKeyDefinition) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
+    std::vector<CommitRecordPtr> records;
+    for (int i = 0; i < 60; ++i) {
+      std::vector<std::string> write_set;
+      const uint64_t size = rng.Below(4);  // 0..3 keys; 0 is the empty write set.
+      for (uint64_t j = 0; j < size; ++j) {
+        write_set.push_back(keys[rng.Below(keys.size())]);
+      }
+      records.push_back(std::make_shared<const CommitRecord>(CommitRecord{
+          TxnId(1 + static_cast<int64_t>(rng.Below(40)), Uuid::Random(rng)), write_set}));
+    }
+    KeyVersionIndex index;
+    std::set<TxnId> indexed;
+    std::set<TxnId> held;  // Drained and still superseded.
+    for (int step = 0; step < 400; ++step) {
+      const CommitRecordPtr& record = records[rng.Below(records.size())];
+      if (rng.Below(3) == 0) {
+        index.RemoveCommit(*record);
+        indexed.erase(record->id);
+      } else {
+        index.AddCommit(*record);
+        indexed.insert(record->id);
+      }
+      std::set<TxnId> superseded;
+      for (const CommitRecordPtr& r : records) {
+        if (!indexed.contains(r->id)) {
+          ASSERT_FALSE(index.IsSuperseded(r->id)) << "seed " << seed << " step " << step;
+          continue;
+        }
+        const bool oracle = IsTransactionSuperseded(*r, index);
+        ASSERT_EQ(index.IsSuperseded(r->id), oracle) << "seed " << seed << " step " << step;
+        if (oracle) {
+          superseded.insert(r->id);
+        }
+      }
+      std::erase_if(held, [&](const TxnId& id) { return !superseded.contains(id); });
+      for (const TxnId& id : Drain(index)) {
+        ASSERT_TRUE(superseded.contains(id)) << "seed " << seed << " step " << step;
+        held.insert(id);
+      }
+      ASSERT_EQ(held, superseded) << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 // ---- CommitSetCache --------------------------------------------------------------
@@ -167,24 +280,10 @@ TEST(CommitSetCacheTest, RemovingUnknownIdIsNotADeletion) {
   EXPECT_FALSE(cache.HasLocallyDeleted(id));
 }
 
-TEST(CommitSetCacheTest, RecentCommitsDrainOnce) {
-  CommitSetCache cache;
-  auto r1 = MakeRecord(10, {"a"});
-  auto r2 = MakeRecord(20, {"b"});
-  cache.Add(r1);
-  cache.Add(r2);
-  cache.NoteLocalCommit(r1->id);
-  cache.NoteLocalCommit(r2->id);
-  auto drained = cache.TakeRecentCommits();
-  EXPECT_EQ(drained.size(), 2u);
-  EXPECT_TRUE(cache.TakeRecentCommits().empty());
-}
-
-TEST(CommitSetCacheTest, SnapshotReflectsContents) {
+TEST(CommitSetCacheTest, SizeCountsEveryShard) {
   CommitSetCache cache;
   cache.Add(MakeRecord(10, {"a"}));
   cache.Add(MakeRecord(20, {"b"}));
-  EXPECT_EQ(cache.Snapshot().size(), 2u);
   EXPECT_EQ(cache.size(), 2u);
 }
 

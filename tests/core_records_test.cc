@@ -51,6 +51,45 @@ TEST(TxnIdTest, DecodeGarbageYieldsNull) {
   EXPECT_TRUE(TxnId::Decode("").IsNull());
 }
 
+TEST(TxnIdTest, CodecRoundTripsSeededIdsAndRejectsNonCanonicalText) {
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    // Timestamps of every magnitude, UUIDs of every bit pattern.
+    const int64_t timestamp = static_cast<int64_t>(rng() >> (1 + rng.Below(63)));
+    const TxnId id(timestamp, Uuid(rng(), rng()));
+    std::string text;
+    id.EncodeTo(text);
+    ASSERT_EQ(text.size(), TxnId::kEncodedLength);
+    ASSERT_EQ(TxnId::Decode(text), id) << text;
+  }
+  const TxnId newest(INT64_MAX, Uuid(1, 2));
+  EXPECT_EQ(TxnId::Decode(newest.Encode()), newest);
+  const TxnId nil_uuid(42, Uuid());
+  EXPECT_EQ(TxnId::Decode(nil_uuid.Encode()), nil_uuid);
+  EXPECT_EQ(TxnId(1234, Uuid(0x0123456789abcdefULL, 0xfedcba9876543210ULL)).Encode(),
+            "00000000000000001234_01234567-89ab-cdef-fedc-ba9876543210");
+
+  const std::string uuid = "01234567-89ab-cdef-fedc-ba9876543210";
+  const std::vector<std::string> malformed = {
+      "0000000000000001234_" + uuid,    // 19 digits.
+      "000000000000000001234_" + uuid,  // 21 digits.
+      "00000000000000001234-" + uuid,   // Wrong separator.
+      "-0000000000000001234_" + uuid,   // Sign.
+      " 0000000000000001234_" + uuid,   // Leading space.
+      "0000000000000000123a_" + uuid,   // Not a digit.
+      "09223372036854775808_" + uuid,   // INT64_MAX + 1.
+      "99999999999999999999_" + uuid,   // Past uint64 too.
+      "00000000000000001234_01234567-89ab-cdef-fedc-ba987654321g",
+      "00000000000000001234_01234567-89AB-cdef-fedc-ba9876543210",
+      "00000000000000001234_" + uuid + "0",
+  };
+  for (const std::string& text : malformed) {
+    EXPECT_TRUE(TxnId::Decode(text).IsNull()) << text;
+  }
+  EXPECT_TRUE(TxnIdFromCommitStorageKey("c/").IsNull());
+  EXPECT_EQ(TxnIdFromCommitStorageKey(CommitStorageKey(newest)), newest);
+}
+
 TEST(StorageKeyTest, VersionKeyLayout) {
   const Uuid u(0x1111, 0x2222);
   const std::string key = VersionStorageKey("mykey", u);

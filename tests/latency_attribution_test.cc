@@ -142,44 +142,90 @@ uint64_t RunCommits(AftNode& node, int threads, int txns_per_thread) {
 // per-commit stages are disjoint slices of the commit_latency_ms window, so
 // their sums cannot exceed the end-to-end sum. 5% + 2ms of slack absorbs
 // float accumulation and the ms→s unit hop, NOT any structural overlap.
-void CheckReconciliation(const std::string& node_id, uint64_t committed, bool bounded_pool) {
-  auto& reg = obs::MetricsRegistry::Global();
-  CommitStageHistograms stages = CommitStageHistograms::ForNode(node_id);
-  obs::Histogram* e2e =
-      reg.GetHistogram("aft_node_commit_latency_ms", "CommitTransaction wall latency (ms)",
-                       DefaultLatencyBoundariesMs(), {{"node", node_id}});
-  ASSERT_EQ(e2e->Count(), committed);
+// The counts and sums CheckReconciliation reads. They live in the
+// process-global registry, keyed by node id, so a repeated test
+// (--gtest_repeat) keeps adding to the same series: the checks compare the
+// change since a snapshot taken at the test's start.
+struct AttributionSnapshot {
+  struct Cell {
+    uint64_t count = 0;
+    double sum = 0;
+  };
+  Cell e2e;
+  Cell txn_lock_wait;
+  Cell queue_wait_leader;
+  Cell queue_wait_follower;
+  Cell data_flush;
+  Cell barrier;
+  Cell record_write;
+  Cell gossip_publish;
+  uint64_t followers = 0;
+
+  static AttributionSnapshot Take(const std::string& node_id) {
+    auto& reg = obs::MetricsRegistry::Global();
+    const CommitStageHistograms stages = CommitStageHistograms::ForNode(node_id);
+    auto cell = [](obs::Histogram* h) { return Cell{h->Count(), h->Sum()}; };
+    AttributionSnapshot s;
+    s.e2e = cell(reg.GetHistogram("aft_node_commit_latency_ms",
+                                  "CommitTransaction wall latency (ms)",
+                                  DefaultLatencyBoundariesMs(), {{"node", node_id}}));
+    s.txn_lock_wait = cell(stages.txn_lock_wait);
+    s.queue_wait_leader = cell(stages.queue_wait_leader);
+    s.queue_wait_follower = cell(stages.queue_wait_follower);
+    s.data_flush = cell(stages.data_flush);
+    s.barrier = cell(stages.barrier);
+    s.record_write = cell(stages.record_write);
+    s.gossip_publish = cell(stages.gossip_publish);
+    s.followers = reg.GetCounter("aft_commit_batch_commits_total",
+                                 "Commits by batch role (follower piggybacked)",
+                                 {{"node", node_id}, {"role", "follower"}})
+                      ->Value();
+    return s;
+  }
+
+  AttributionSnapshot operator-(const AttributionSnapshot& before) const {
+    auto minus = [](const Cell& a, const Cell& b) { return Cell{a.count - b.count, a.sum - b.sum}; };
+    AttributionSnapshot d;
+    d.e2e = minus(e2e, before.e2e);
+    d.txn_lock_wait = minus(txn_lock_wait, before.txn_lock_wait);
+    d.queue_wait_leader = minus(queue_wait_leader, before.queue_wait_leader);
+    d.queue_wait_follower = minus(queue_wait_follower, before.queue_wait_follower);
+    d.data_flush = minus(data_flush, before.data_flush);
+    d.barrier = minus(barrier, before.barrier);
+    d.record_write = minus(record_write, before.record_write);
+    d.gossip_publish = minus(gossip_publish, before.gossip_publish);
+    d.followers = followers - before.followers;
+    return d;
+  }
+};
+
+void CheckReconciliation(const std::string& node_id, const AttributionSnapshot& before,
+                         uint64_t committed, bool bounded_pool) {
+  const AttributionSnapshot d = AttributionSnapshot::Take(node_id) - before;
+  ASSERT_EQ(d.e2e.count, committed);
 
   // Coverage: one observation per committed transaction per per-commit stage.
-  EXPECT_EQ(stages.txn_lock_wait->Count(), committed);
-  EXPECT_EQ(stages.data_flush->Count(), committed);
-  EXPECT_EQ(stages.barrier->Count(), committed);
-  EXPECT_EQ(stages.record_write->Count(), committed);
-  EXPECT_EQ(stages.gossip_publish->Count(), committed);
-  const uint64_t queue_waits =
-      stages.queue_wait_leader->Count() + stages.queue_wait_follower->Count();
-  EXPECT_EQ(queue_waits, committed);
+  EXPECT_EQ(d.txn_lock_wait.count, committed);
+  EXPECT_EQ(d.data_flush.count, committed);
+  EXPECT_EQ(d.barrier.count, committed);
+  EXPECT_EQ(d.record_write.count, committed);
+  EXPECT_EQ(d.gossip_publish.count, committed);
+  EXPECT_EQ(d.queue_wait_leader.count + d.queue_wait_follower.count, committed);
   if (bounded_pool) {
-    EXPECT_GE(stages.queue_wait_leader->Count(), 1u);
-    const uint64_t followers =
-        reg.GetCounter("aft_commit_batch_commits_total",
-                       "Commits by batch role (follower piggybacked)",
-                       {{"node", node_id}, {"role", "follower"}})
-            ->Value();
-    EXPECT_GT(followers, 0u) << "no committer fused into another's round";
-    EXPECT_EQ(stages.queue_wait_follower->Count(), followers);
+    EXPECT_GE(d.queue_wait_leader.count, 1u);
+    EXPECT_GT(d.followers, 0u) << "no committer fused into another's round";
+    EXPECT_EQ(d.queue_wait_follower.count, d.followers);
   } else {
     // Over an unbounded engine nobody joins a queue: each leads its own
     // round.
-    EXPECT_EQ(stages.queue_wait_leader->Count(), committed);
-    EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
+    EXPECT_EQ(d.queue_wait_leader.count, committed);
+    EXPECT_EQ(d.queue_wait_leader.sum, 0.0);
   }
 
-  const double stage_sum_s = stages.txn_lock_wait->Sum() + stages.queue_wait_leader->Sum() +
-                             stages.queue_wait_follower->Sum() + stages.data_flush->Sum() +
-                             stages.barrier->Sum() + stages.record_write->Sum() +
-                             stages.gossip_publish->Sum();
-  const double e2e_sum_s = e2e->Sum() * 1e-3;
+  const double stage_sum_s = d.txn_lock_wait.sum + d.queue_wait_leader.sum +
+                             d.queue_wait_follower.sum + d.data_flush.sum + d.barrier.sum +
+                             d.record_write.sum + d.gossip_publish.sum;
+  const double e2e_sum_s = d.e2e.sum * 1e-3;
   EXPECT_GT(stage_sum_s, 0.0);
   EXPECT_LE(stage_sum_s, e2e_sum_s * 1.05 + 2e-3)
       << "stage sum " << stage_sum_s << "s vs e2e " << e2e_sum_s << "s";
@@ -188,35 +234,38 @@ void CheckReconciliation(const std::string& node_id, uint64_t committed, bool bo
 TEST(LatencyAttribution, ReconcilesSoloSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
+  const AttributionSnapshot before = AttributionSnapshot::Take("attr-sim-solo");
   AftNode node("attr-sim-solo", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/1, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-solo", committed, /*bounded_pool=*/false);
+  CheckReconciliation("attr-sim-solo", before, committed, /*bounded_pool=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, SlowWriteDynamoOptions());
   engine.SetMaxConcurrentRequests(2);
+  const AttributionSnapshot before = AttributionSnapshot::Take("attr-sim-batched");
   AftNode node("attr-sim-batched", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-batched", committed, /*bounded_pool=*/true);
+  CheckReconciliation("attr-sim-batched", before, committed, /*bounded_pool=*/true);
 }
 
 TEST(LatencyAttribution, ReconcilesUnboundedSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, SlowWriteDynamoOptions());
+  const AttributionSnapshot before = AttributionSnapshot::Take("attr-sim-unbounded");
   AftNode node("attr-sim-unbounded", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-unbounded", committed, /*bounded_pool=*/false);
+  CheckReconciliation("attr-sim-unbounded", before, committed, /*bounded_pool=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
@@ -226,12 +275,13 @@ TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
   ASSERT_TRUE(engine.ok());
   // The WAL engine runs one round at a time, so concurrent committers fuse
   // into shared WAL rounds.
+  const AttributionSnapshot before = AttributionSnapshot::Take("attr-local-batched");
   AftNode node("attr-local-batched", **engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-batched", committed, /*bounded_pool=*/true);
+  CheckReconciliation("attr-local-batched", before, committed, /*bounded_pool=*/true);
 }
 
 TEST(LatencyAttribution, ReconcilesUnboundedLocalEngine) {
@@ -240,12 +290,13 @@ TEST(LatencyAttribution, ReconcilesUnboundedLocalEngine) {
   auto engine = LocalEngine::Open(dir.path());
   ASSERT_TRUE(engine.ok());
   PoolViewEngine unbounded(**engine, 0);
+  const AttributionSnapshot before = AttributionSnapshot::Take("attr-local-unbounded");
   AftNode node("attr-local-unbounded", unbounded, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/15);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-unbounded", committed, /*bounded_pool=*/false);
+  CheckReconciliation("attr-local-unbounded", before, committed, /*bounded_pool=*/false);
 }
 
 // ---- contention profiler ----------------------------------------------------

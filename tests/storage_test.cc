@@ -108,6 +108,34 @@ TEST(VersionedMapTest, FullyTombstonedKeysDisappear) {
   EXPECT_EQ(map.ApproximateKeyCount(), 0u);
 }
 
+// An engine that never serves a stale read frees a deleted value at once; one
+// with staleness keeps it (behind a tombstone) for stale readers.
+TEST(SimEngineMemoryTest, DeleteFreesTheValueOnlyWhenNoStaleReadCanReachIt) {
+  SimClock clock;
+  SimRedis redis(clock, FastRedis());
+  SimDynamo dynamo(clock, FastDynamo());
+  for (SimEngineBase* engine : std::initializer_list<SimEngineBase*>{&redis, &dynamo}) {
+    ASSERT_TRUE(engine->Put("c/1", "v1").ok());
+    ASSERT_TRUE(engine->Put("c/1", "v2").ok());
+    ASSERT_TRUE(engine->Put("c/2", "v").ok());
+    ASSERT_TRUE(engine->Delete("c/1").ok());
+    const std::vector<std::string> batch = {"c/2"};
+    ASSERT_TRUE(engine->BatchDelete(batch).ok());
+    EXPECT_EQ(engine->ApproximateKeyCount(), 0u) << engine->name();
+    EXPECT_TRUE(engine->List("c/")->empty());
+  }
+
+  SimS3Options stale = FastS3();
+  stale.staleness = StalenessModel{/*stale_probability=*/1.0, /*mean_staleness=*/Millis(50)};
+  SimS3 s3(clock, stale);
+  ASSERT_TRUE(s3.Put("c/1", "v1").ok());
+  clock.Advance(Millis(10));
+  ASSERT_TRUE(s3.Delete("c/1").ok());
+  EXPECT_EQ(s3.ApproximateKeyCount(), 1u) << "the deleted value stays for stale readers";
+  EXPECT_TRUE(s3.List("c/")->empty());
+  EXPECT_FALSE(s3.PeekLatest("c/1").has_value());
+}
+
 // ---- Engine basics (parameterized over all three engines) -------------------------
 
 enum class EngineKind { kS3, kDynamo, kRedis, kLocal };

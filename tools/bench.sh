@@ -35,7 +35,7 @@ done
 
 BUILD_DIR="${AFT_BENCH_BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
-BENCHES=(bench_fig3_end_to_end bench_fig6_txn_length bench_fig7_single_node bench_parallel_io bench_net bench_local_engine bench_obs)
+BENCHES=(bench_fig3_end_to_end bench_fig6_txn_length bench_fig7_single_node bench_parallel_io bench_net bench_local_engine bench_obs bench_micro_ops)
 
 if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -70,7 +70,7 @@ for bench in "${BENCHES[@]}"; do
   echo
   echo "==== running $bench (timeout ${TIMEOUT}s) ===="
   args=()
-  if [[ $SMOKE -eq 1 && "$bench" == bench_obs ]]; then
+  if [[ $SMOKE -eq 1 && ( "$bench" == bench_obs || "$bench" == bench_micro_ops ) ]]; then
     # The google-benchmark microbench suite honors CLI flags, not the env
     # knobs above; cut per-config time so smoke stays well inside the timeout.
     args+=(--benchmark_min_time=0.05)

@@ -41,6 +41,11 @@
 # run completes far fewer, so each such pair prints an explicit SKIP line
 # instead of passing.
 #
+# A sixth, within-run gate holds GC rounds to what they delete
+# (bench_micro_ops's "gc round <node|fm> <records>" rows): a node-local and a
+# fault-manager GC round that find no victims must run at least half as
+# many rounds per second over 100,000 live records as over 1,000.
+#
 # Usage: tools/bench_gate.sh CURRENT.json [MIN_SPEEDUP] [MIN_CLIENTS] [MAX_ALLOCS]
 #
 #   MIN_SPEEDUP   geomean (pipelined / baseline) ops-per-sec floor,
@@ -259,5 +264,44 @@ sed -nE 's/.*"bench":"fig3_end_to_end","row":"(S3|DynamoDB|Redis) (Plain|Aft)".*
     }
     printf "bench_gate: PASS — fig3 AFT/Plain p50 within bounds on %d engines (%d skipped)\n",
            gated, pairs - gated;
+  }
+'
+
+# ---- GC round scaling ----------------------------------------------------------
+# The garbage collectors drain a queue of newly superseded records instead of
+# re-checking the whole commit set (src/core/key_version_index.h), so a round
+# that deletes nothing costs the same over 100,000 live records as over
+# 1,000. bench_micro_ops times both sizes for the node-local and the
+# fault-manager round in one process, three repetitions each; the best
+# repetition of the 100k row must reach at least 1/MAX_GC_SCALING (default
+# 2) of the best 1k row's rounds per second. A round that scans the commit
+# set reads ~100x slower. A missing row pair is an error, as above.
+MAX_GC_SCALING="${MAX_GC_SCALING:-2}"
+sed -nE 's/.*"row":"gc round (node|fm) ([0-9]+)".*"txn_per_s":([0-9.]+).*/\1\t\2\t\3/p' "$CURRENT" \
+  | awk -F '\t' -v ceil="$MAX_GC_SCALING" '
+  {
+    key = $1 "/" $2;
+    if (!(key in best) || $3 + 0 > best[key]) { best[key] = $3 + 0 }
+  }
+  END {
+    split("node fm", rounds, " ");
+    for (i = 1; i <= 2; i++) {
+      r = rounds[i];
+      small = best[r "/1000"]; large = best[r "/100000"];
+      if (small <= 0 || large <= 0) {
+        printf "bench_gate: no \"gc round %s\" 1000/100000 row pair found\n", r > "/dev/stderr";
+        exit 1;
+      }
+      ratio = small / large;
+      if (ratio > ceil) { failed++ }
+      printf "%-7s gc round %-4s %12.0f -> %12.0f rounds/s  (1k/100k x%.2f, bound x%.2f)\n",
+             (ratio > ceil ? "slow" : "ok"), r, small, large, ratio, ceil;
+    }
+    if (failed > 0) {
+      printf "bench_gate: FAIL — a no-victim GC round over 100k records is over x%.2f the 1k round\n",
+             ceil > "/dev/stderr";
+      exit 1;
+    }
+    printf "bench_gate: PASS — no-victim GC rounds within x%.2f from 1k to 100k live records\n", ceil;
   }
 '

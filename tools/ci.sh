@@ -9,7 +9,8 @@
 #
 # Each leg runs the full suite once (socket suites included) and then
 # hammers the WAL crash-recovery harness (kill -9 children, timing varies)
-# a few extra times under the leg's sanitizer.
+# and the latency-attribution reconciliation (real commit threads) a few
+# extra times under the leg's sanitizer.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -22,7 +23,8 @@ leg() {  # leg <name> <build-dir> <extra cmake args...>
   if cmake -B "$dir" -S . "$@" > /dev/null \
      && cmake --build "$dir" -j "$JOBS" 2>&1 | tail -5 \
      && (cd "$dir" && ctest --output-on-failure -j "$JOBS") \
-     && (cd "$dir" && ctest --output-on-failure -R 'wal_recovery_test' --repeat until-fail:3); then
+     && (cd "$dir" && ctest --output-on-failure -R 'wal_recovery_test|latency_attribution_test' \
+           --repeat until-fail:3); then
     echo "[PASS] $name"
   else
     echo "[FAIL] $name"
