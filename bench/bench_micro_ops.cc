@@ -173,11 +173,12 @@ void BM_KeyVersionIndexAdd(benchmark::State& state) {
 BENCHMARK(BM_KeyVersionIndexAdd);
 
 // A one-node in-process cluster over a zero-latency store whose node and
-// fault manager both hold `records` commit records, one round of each GC
-// run once so that the measured rounds find nothing new. In the node
-// fixture every record is the newest version of its own key (all live); in
-// the fault-manager fixture every other record is superseded, and the node,
-// which runs no local GC, vetoes all of those. Either way a round deletes
+// fault manager both hold `records` commit records, one round of the
+// measured GC run once so that the measured rounds find nothing new. In the
+// node fixture every record is the newest version of its own key (all
+// live). In the fault-manager fixture every other record is superseded; the
+// node runs no local GC, so it still holds those and vetoes each one, and
+// they wait in the manager's awaiting list. Either way a round deletes
 // nothing, and its cost must not grow with the commit set.
 enum GcRound : int64_t { kNodeRound = 0, kFaultManagerRound = 1 };
 
@@ -200,9 +201,14 @@ struct GcFixture {
     if (!cluster->Start().ok()) {
       std::abort();
     }
-    cluster->fault_manager().IngestCommits(written);
-    (void)cluster->node(0)->RunLocalGcOnce();
-    (void)cluster->fault_manager().RunGlobalGcOnce();
+    FaultManager& fault_manager = cluster->fault_manager();
+    fault_manager.IngestCommits(written);
+    if (round == kNodeRound) {
+      (void)cluster->node(0)->RunLocalGcOnce();
+    } else if (fault_manager.RunGlobalGcOnce() != 0 ||
+               fault_manager.stats().gc_votes.load() != records / 2) {
+      std::abort();  // The node must veto every superseded record.
+    }
   }
 
   static SimRedisOptions InstantRedis() {

@@ -211,15 +211,16 @@ size_t FaultManager::RunGlobalGcOnce() {
   MutexLock gc_lock(gc_mu_);
   const std::vector<AftNode*> nodes = ManagedNodes();
   // A veto turns into a yes only when the vetoing node's local GC drops the
-  // record (it checks read pins first; a node that never held the record
-  // votes yes at once), the node dies, or it leaves the managed set. So
-  // vetoed records are re-voted only after one of those inputs changed;
-  // otherwise a round votes on the newly superseded records alone. Inputs
-  // are read before any vote, so a change during the votes shows next round.
+  // record or releases the last read pin on a record it no longer holds
+  // (either moves the node's GcVoteEpoch), the node dies, or it leaves the
+  // managed set. So vetoed records are re-voted only after one of those
+  // inputs changed; otherwise a round votes on the newly superseded records
+  // alone. Inputs are read before any vote, so a change during the votes
+  // shows next round.
   std::vector<GcVoter> voters;
   voters.reserve(nodes.size());
   for (AftNode* node : nodes) {
-    voters.push_back(GcVoter{node, node->alive(), node->LocalGcRemovals()});
+    voters.push_back(GcVoter{node, node->alive(), node->GcVoteEpoch()});
   }
   std::vector<TxnId> candidates;
   if (voters != gc_voters_) {

@@ -159,7 +159,7 @@ class FaultManager {
   struct GcVoter {
     AftNode* node;
     bool alive;
-    uint64_t local_gc_removals;
+    uint64_t vote_epoch;
     bool operator==(const GcVoter&) const = default;
   };
   Mutex gc_mu_;

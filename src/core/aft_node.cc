@@ -873,7 +873,11 @@ bool AftNode::AnyRunningTransactionReadsFrom(const TxnId& id) {
 
 void AftNode::UnpinReads(const TransactionState& txn) {
   for (const TxnId& id : txn.reads_from) {
-    read_pins_.Unpin(id);
+    // A reader can pin a record just after local GC dropped it; its release
+    // may be the last veto on the record's global deletion.
+    if (read_pins_.Unpin(id) && !commits_.Contains(id)) {
+      gc_vote_epoch_.fetch_add(1, std::memory_order_release);
+    }
   }
 }
 
@@ -924,7 +928,10 @@ size_t AftNode::RunLocalGcOnce() {
     }
     ++removed;
   }
-  metrics_.gc_records_removed->Increment(removed);
+  if (removed > 0) {
+    metrics_.gc_records_removed->Increment(removed);
+    gc_vote_epoch_.fetch_add(1, std::memory_order_release);
+  }
   return removed;
 }
 

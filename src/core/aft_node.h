@@ -203,9 +203,11 @@ class AftNode {
   // ---- Garbage collection (§5) ----------------------------------------------
   // One local metadata GC sweep; returns the number of records removed.
   size_t RunLocalGcOnce();
-  // Records local GC has removed; the fault manager re-votes its vetoed
-  // records when this changes.
-  uint64_t LocalGcRemovals() const { return metrics_.gc_records_removed->Value(); }
+  // Changes whenever one of this node's global-GC vetoes may have turned
+  // into a yes: local GC dropped records, or the last read pin on a record
+  // the node no longer holds was released. The fault manager re-votes its
+  // vetoed records only after this (or the node's liveness) changed.
+  uint64_t GcVoteEpoch() const { return gc_vote_epoch_.load(std::memory_order_acquire); }
 
   // Global-GC protocol: has this node locally dropped `id`'s metadata?
   bool HasLocallyDeleted(const TxnId& id) const;
@@ -299,6 +301,7 @@ class AftNode {
   // from dropping; the next round retries them before the index's queue.
   Mutex gc_mu_{"node.gc"};
   std::vector<TxnId> gc_blocked_ GUARDED_BY(gc_mu_);
+  std::atomic<uint64_t> gc_vote_epoch_{0};  // See GcVoteEpoch().
 
   // Metadata + data caches.
   CommitSetCache commits_;

@@ -25,15 +25,15 @@ class ReadPinTable {
     ++pins_[id];
   }
 
-  void Unpin(const TxnId& id) {
+  // True when this released the last pin on `id`.
+  bool Unpin(const TxnId& id) {
     MutexLock lock(mu_);
     auto it = pins_.find(id);
-    if (it == pins_.end()) {
-      return;
+    if (it == pins_.end() || --it->second > 0) {
+      return false;
     }
-    if (--it->second <= 0) {
-      pins_.erase(it);
-    }
+    pins_.erase(it);
+    return true;
   }
 
   bool IsPinned(const TxnId& id) const {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/cluster/aft_client.h"
 #include "src/cluster/deployment.h"
 #include "src/obs/metrics.h"
@@ -296,7 +299,8 @@ TEST_F(ClusterTest, GlobalGcCanBeDisabled) {
 }
 
 // A vetoed record is re-voted only once a vote input changed: a node's
-// local-GC removal count, its liveness, or the managed-node set.
+// vote epoch (local-GC drops, releases of pins on dropped records), its
+// liveness, or the managed-node set.
 class GlobalGcVoteTest : public ClusterTest {
  protected:
   // Node 1 caches a superseded record (pruning off) that node 0 has already
@@ -343,6 +347,67 @@ TEST_F(GlobalGcVoteTest, DecommissionUnblocksAVetoedRecord) {
   VetoedByNodeOne(cluster);
   cluster.fault_manager().Decommission(cluster.node(1));
   EXPECT_EQ(cluster.fault_manager().RunGlobalGcOnce(), 1u);
+}
+
+// A read can pin a record in the instant after local GC checked its pins
+// and dropped it, so the node vetoes a record it no longer holds. Releasing
+// that pin must let the next round delete the record with no other
+// activity. The interleaving is a race between a read and a local-GC round;
+// the test replays it until it has seen it a few times.
+TEST_F(GlobalGcVoteTest, ReleasingAPinOnADroppedRecordUnblocksIt) {
+  ClusterDeployment cluster(storage_, clock_, ManualCluster(1));
+  ASSERT_TRUE(cluster.Start().ok());
+  AftNode& node = *cluster.node(0);
+  FaultManager& fault_manager = cluster.fault_manager();
+  auto commit = [&](std::initializer_list<std::string> keys) {
+    auto txid = node.StartTransaction();
+    for (const std::string& key : keys) {
+      EXPECT_TRUE(node.Put(*txid, key, "v").ok());
+    }
+    return node.CommitTransaction(*txid).value();
+  };
+  int races = 0;
+  for (int trial = 0; trial < 20000 && races < 3; ++trial) {
+    const std::string k = "k" + std::to_string(trial);
+    const std::string m = "m" + std::to_string(trial);
+    // `txid` read m from an older writer than `newer`, so Algorithm 1 gives
+    // it `old_id`'s k although `newer` superseded that record.
+    const TxnId old_id = commit({k});
+    commit({m});
+    const Uuid txid = node.StartTransaction().value();
+    ASSERT_TRUE(node.Get(txid, m).ok());
+    commit({k, m});
+    cluster.bus().RunOnce();
+
+    std::atomic<int> ready{0};
+    auto start = [&] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+    };
+    std::thread reader([&] {
+      start();
+      (void)node.Get(txid, k);
+    });
+    start();
+    (void)node.RunLocalGcOnce();
+    reader.join();
+
+    const bool pinned_after_drop = node.HasLocallyDeleted(old_id) && !node.CanGloballyDelete(old_id);
+    (void)fault_manager.RunGlobalGcOnce();
+    ASSERT_TRUE(node.AbortTransaction(txid).ok());
+    if (pinned_after_drop) {
+      ++races;
+      const size_t known = fault_manager.KnownCommitCount();
+      EXPECT_EQ(fault_manager.RunGlobalGcOnce(), 1u) << "trial " << trial;
+      EXPECT_EQ(fault_manager.KnownCommitCount(), known - 1);
+    }
+    (void)node.RunLocalGcOnce();
+    (void)fault_manager.RunGlobalGcOnce();
+  }
+  if (races == 0) {
+    GTEST_SKIP() << "the read never pinned a record local GC had just dropped";
+  }
 }
 
 // Fails every BatchDelete while `fail_deletes` is set.

@@ -273,10 +273,10 @@ sed -nE 's/.*"bench":"fig3_end_to_end","row":"(S3|DynamoDB|Redis) (Plain|Aft)".*
 # that deletes nothing costs the same over 100,000 live records as over
 # 1,000. bench_micro_ops times both sizes for the node-local and the
 # fault-manager round in one process, three repetitions each; the best
-# repetition of the 100k row must reach at least 1/MAX_GC_SCALING (default
-# 2) of the best 1k row's rounds per second. A round that scans the commit
-# set reads ~100x slower. A missing row pair is an error, as above.
-MAX_GC_SCALING="${MAX_GC_SCALING:-2}"
+# repetition of the 100k row must reach at least 1/MAX_GC_SCALING of the
+# best 1k row's rounds per second. A round that scans the commit set reads
+# ~100x slower. A missing row pair is an error, as above.
+readonly MAX_GC_SCALING=2
 sed -nE 's/.*"row":"gc round (node|fm) ([0-9]+)".*"txn_per_s":([0-9.]+).*/\1\t\2\t\3/p' "$CURRENT" \
   | awk -F '\t' -v ceil="$MAX_GC_SCALING" '
   {
